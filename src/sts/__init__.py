@@ -7,7 +7,7 @@ against direct stochastic simulation.
 """
 
 from .layout import BasisLayout, FormVector
-from .trig import FlowField, TrigField, identity_frame, trig_diff, trig_mul
+from .trig import FlowField, TrigField, identity_frame
 
 __all__ = [
     "BasisLayout",
@@ -15,8 +15,6 @@ __all__ = [
     "FlowField",
     "TrigField",
     "identity_frame",
-    "trig_diff",
-    "trig_mul",
 ]
 
 __version__ = "0.1.0"

@@ -10,6 +10,8 @@ non-convergence, 4 failed physics check.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import sys
 import time
@@ -24,14 +26,12 @@ from .config import (
     ConfigError,
     build_flow,
     build_model,
-    build_noise,
     build_potential,
     build_tolerances,
     parse_config,
 )
 from .layout import BasisLayout, FormVector
 from .operators import (
-    SdeModel,
     kd_operator,
     langevin_hermitian_blocks,
     seo_alpha,
@@ -52,12 +52,7 @@ def _threads():
 
 def _seo_builder(config):
     def build(layout):
-        return seo_alpha(
-            SdeModel(
-                layout, build_flow(config), build_noise(config),
-                config.theta, config.alpha,
-            )
-        )
+        return seo_alpha(build_model(config, layout.truncation))
     return build
 
 
@@ -119,10 +114,6 @@ def cmd_spectrum(config, args, out_dir):
     return doc, EXIT_OK if ok else EXIT_NONCONVERGED
 
 
-def cmd_classify(config, args, out_dir):
-    return cmd_spectrum(config, args, out_dir)
-
-
 def cmd_witten(config, args, out_dir):
     _, rep = run_pipeline(config, args.check_convergence)
     worst = max(abs(complex(*w)) for w in
@@ -151,14 +142,9 @@ def cmd_pair(config, args, out_dir):
         }
     else:
         # vectorless path (3-D): only the even/odd multiset comparison
-        thr = spectral.zero_threshold(rep.systems, tol)
-        even = np.concatenate([
-            s.eigenvalues[np.abs(s.eigenvalues) > thr]
-            for s in rep.systems if s.degree % 2 == 0])
-        odd = np.concatenate([
-            s.eigenvalues[np.abs(s.eigenvalues) > thr]
-            for s in rep.systems if s.degree % 2 == 1])
-        dist = spectral.hausdorff_distance(even, odd)
+        dist = spectral.even_odd_distance(
+            rep.systems, spectral.zero_threshold(rep.systems, tol)
+        )
         ok = dist <= tol.tol_pair
         detail = {"pairs": None, "violations": None, "even_odd_distance": dist}
     doc = _base_outputs(config, rep, out_dir,
@@ -375,7 +361,7 @@ def cmd_sweep(config, args, out_dir):
 
 _COMMANDS = {
     "spectrum": cmd_spectrum,
-    "classify": cmd_classify,
+    "classify": cmd_spectrum,
     "witten": cmd_witten,
     "pair": cmd_pair,
     "evolve": cmd_evolve,
@@ -384,6 +370,24 @@ _COMMANDS = {
     "langevin-check": cmd_langevin_check,
     "sweep": cmd_sweep,
 }
+
+
+def _number(kind, positive):
+    """argparse type: a finite ``kind`` that is positive, or nonnegative."""
+    def parse(text):
+        value = kind(text)
+        if not ((value > 0 if positive else value >= 0)
+                and (kind is int or math.isfinite(value))):
+            sign = "positive" if positive else "nonnegative"
+            raise argparse.ArgumentTypeError(f"must be {sign}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # names the type in argparse's message
+    return parse
+
+
+def float_list(text):
+    """argparse type: comma-separated floats."""
+    return [float(v) for v in text.split(",")]
 
 
 def _build_parser():
@@ -400,39 +404,43 @@ def _build_parser():
         p.add_argument("--truncation", type=int, default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--t-grid", default=None)
+        p.add_argument("--t-grid", type=float_list, default=None)
         p.add_argument(
             "--check-convergence", action=argparse.BooleanOptionalAction,
             default=True,
         )
         if name == "evolve":
-            p.add_argument("--t", type=float, default=1.0)
+            p.add_argument("--t", type=_number(float, False), default=1.0)
         if name == "mc-compare":
-            p.add_argument("--t", type=float, default=1.0)
-            p.add_argument("--samples", type=int, default=100000)
-            p.add_argument("--dt", type=float, default=0.02)
-            p.add_argument("--l1-bound", type=float, default=0.05)
+            p.add_argument("--t", type=_number(float, True), default=1.0)
+            p.add_argument("--samples", type=_number(int, True), default=100000)
+            p.add_argument("--dt", type=_number(float, True), default=0.02)
+            p.add_argument("--l1-bound", type=_number(float, False), default=0.05)
         if name == "dynamo":
-            p.add_argument("--dt", type=float, default=0.05)
-            p.add_argument("--steps", type=int, default=6000)
+            p.add_argument("--dt", type=_number(float, True), default=0.05)
+            p.add_argument("--steps", type=_number(int, True), default=6000)
         if name == "sweep":
             p.add_argument("--dynamo", action="store_true")
     return parser
 
 
-def _apply_overrides(config, args):
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.truncation is not None:
-        updates["truncation"] = args.truncation
-    if args.theta is not None:
-        updates["theta"] = args.theta
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.t_grid is not None:
-        updates["t_grid"] = [float(v) for v in args.t_grid.split(",")]
-    return replace(config, **updates) if updates else config
+_OVERRIDES = ("seed", "truncation", "theta", "alpha", "t_grid")
+
+
+def _with_overrides(text, args):
+    """The config text with the command-line overrides merged into it,
+    so that ``parse_config`` validates them like the file's own values."""
+    overrides = {
+        key: getattr(args, key) for key in _OVERRIDES
+        if getattr(args, key) is not None
+    }
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        return text  # parse_config reports it
+    if not overrides or not isinstance(raw, dict):
+        return text
+    return json.dumps({**raw, **overrides})
 
 
 def main(argv=None):
@@ -440,12 +448,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"sts: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     started = time.perf_counter()
     try:
-        config = _apply_overrides(parse_config(text), args)
+        config = parse_config(_with_overrides(text, args))
         out_dir = Path(args.out or config.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         doc, code = _COMMANDS[args.command](config, args, out_dir)

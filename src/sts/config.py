@@ -8,6 +8,7 @@ parse -> emit round trip is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,12 @@ PRESETS = (
 
 _PRESET_DIMENSION = {
     "langevin-cos": 1, "langevin-double": 1, "shear-2d": 2, "abc": 3,
+}
+
+# the params each preset's flow builder reads
+_PRESET_PARAMS = {
+    "drift": ("c",), "langevin-double": ("a",), "abc": ("A", "B", "C"),
+    "random": ("seed", "bandwidth", "amplitude"),
 }
 
 
@@ -96,8 +103,54 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _is_int(value, low=-math.inf):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_number(value, low=-math.inf, high=math.inf):
+    """A finite int or float, not a bool, in [low, high]."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value) and low <= value <= high
+    except (TypeError, OverflowError):
+        return False
+
+
+def _check_modes(modes, dimension, what):
+    """Validate the Fourier mode entries of a flow or noise field."""
+    _require(isinstance(modes, list), f"{what} modes must be a list")
+    for m in modes:
+        _require(isinstance(m, dict) and set(m) == {"axis", "wavevector", "re", "im"},
+                 f"{what} mode entries need axis/wavevector/re/im, got {m!r}")
+        kappa = m["wavevector"]
+        _require(
+            _is_int(m["axis"], 1) and m["axis"] <= dimension
+            and isinstance(kappa, list) and len(kappa) == dimension
+            and all(map(_is_int, kappa)) and _is_number(m["re"])
+            and _is_number(m["im"]) and (any(kappa) or m["im"] == 0),
+            f"{what} mode {m!r} needs an axis in 1..{dimension}, {dimension} "
+            "integer wavevector entries and finite re/im, im = 0 at wavevector 0",
+        )
+
+
+def _check_params(preset, params, dimension):
+    """Validate the preset parameters that build_flow reads."""
+    _require(isinstance(params, dict), "flow params must be an object")
+    valid = {
+        "seed": lambda v: _is_int(v, 0), "bandwidth": lambda v: _is_int(v, 1),
+        "c": lambda v: isinstance(v, list) and len(v) == dimension
+        and all(map(_is_number, v)),
+    }
+    for key in _PRESET_PARAMS.get(preset, ()):
+        _require(key not in params or valid.get(key, _is_number)(params[key]),
+                 f"invalid {preset} parameter {key} = {params.get(key)!r}")
+
+
 def parse_config(text):
-    """Parse and validate a JSON config document."""
+    """Parse and validate a JSON config document.
+
+    Every value a builder or command reads is checked here, once, so a
+    config that parses never fails later for being malformed.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -108,16 +161,15 @@ def parse_config(text):
     for key in ("dimension", "truncation", "theta", "flow"):
         _require(key in raw, f"missing required key {key!r}")
     dimension = raw["dimension"]
-    _require(dimension in (1, 2, 3), f"dimension must be 1, 2 or 3, got {dimension}")
+    _require(_is_int(dimension, 1) and dimension <= 3,
+             f"dimension must be 1, 2 or 3, got {dimension!r}")
     truncation = raw["truncation"]
-    _require(
-        isinstance(truncation, int) and truncation >= 1,
-        f"truncation must be a positive integer, got {truncation}",
-    )
-    theta = float(raw["theta"])
-    _require(theta >= 0, f"theta must be nonnegative, got {theta}")
-    alpha = float(raw.get("alpha", 0.5))
-    _require(0.0 <= alpha <= 1.0, f"alpha must lie in [0, 1], got {alpha}")
+    _require(_is_int(truncation, 1),
+             f"truncation must be a positive integer, got {truncation!r}")
+    theta = raw["theta"]
+    _require(_is_number(theta, 0), f"theta must be nonnegative, got {theta!r}")
+    alpha = raw.get("alpha", 0.5)
+    _require(_is_number(alpha, 0, 1), f"alpha must lie in [0, 1], got {alpha!r}")
 
     flow = raw["flow"]
     _require(isinstance(flow, dict), "flow must be an object")
@@ -130,24 +182,14 @@ def parse_config(text):
         want is None or want == dimension,
         f"preset {preset!r} requires dimension {want}, config says {dimension}",
     )
+    params = flow.get("params", {})
+    _check_params(preset, params, dimension)
     if preset == "custom":
         _require("modes" in flow, "custom flow needs a 'modes' list")
-        for m in flow["modes"]:
-            _require(
-                set(m) == {"axis", "wavevector", "re", "im"},
-                f"flow mode entries need axis/wavevector/re/im, got {sorted(m)}",
-            )
-            _require(
-                1 <= m["axis"] <= dimension,
-                f"mode axis {m['axis']} outside 1..{dimension}",
-            )
-            _require(
-                len(m["wavevector"]) == dimension,
-                "mode wavevector length must equal the dimension",
-            )
+        _check_modes(flow["modes"], dimension, "flow")
     flow = {
         "preset": preset,
-        "params": dict(flow.get("params", {})),
+        "params": dict(params),
         **({"modes": flow["modes"]} if preset == "custom" else {}),
     }
 
@@ -155,44 +197,53 @@ def parse_config(text):
     if noise != "identity":
         _require(isinstance(noise, list) and noise, "noise must be 'identity' or a nonempty list")
         for nf in noise:
-            _require(isinstance(nf, list), "each noise field is a list of mode entries")
+            _check_modes(nf, dimension, "noise")
 
-    tols = dict(raw.get("tolerances", {}))
+    tols = raw.get("tolerances", {})
+    _require(isinstance(tols, dict), "tolerances must be an object")
     unknown = set(tols) - _TOL_KEYS
     _require(not unknown, f"unknown tolerance keys: {sorted(unknown)}")
     defaults = Tolerances()
-    tols = {
-        "tol_zero": float(tols.get("tol_zero", defaults.tol_zero)),
-        "tol_pair": float(tols.get("tol_pair", defaults.tol_pair)),
-        "tol_converge": float(tols.get("tol_converge", defaults.tol_converge)),
-    }
-    _require(min(tols.values()) > 0, "tolerances must be positive")
+    tols = {key: tols.get(key, getattr(defaults, key)) for key in sorted(_TOL_KEYS)}
+    _require(all(_is_number(v) and v > 0 for v in tols.values()),
+             "tolerances must be positive numbers")
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a nonnegative integer")
-    t_grid = [float(t) for t in raw.get("t_grid", [0.1, 1.0, 10.0])]
-    _require(all(t > 0 for t in t_grid), "t_grid entries must be positive")
+    _require(_is_int(seed, 0), "seed must be a nonnegative integer")
+    t_grid = raw.get("t_grid", [0.1, 1.0, 10.0])
+    _require(isinstance(t_grid, list) and all(_is_number(t) and t > 0 for t in t_grid),
+             "t_grid must be a list of positive numbers")
+    output = raw.get("output", ".")
+    _require(isinstance(output, str), "output must be a string")
 
     sweep = raw.get("sweep")
     if sweep is not None:
+        _require(isinstance(sweep, dict), "sweep must be an object")
         unknown = set(sweep) - _SWEEP_KEYS
         _require(not unknown, f"unknown sweep keys: {sorted(unknown)}")
         _require("theta" in sweep and "values" in sweep and "parameter" in sweep,
                  "sweep needs theta, parameter and values")
-        n_cells = len(sweep["theta"]) * len(sweep["values"])
+        thetas, values = sweep["theta"], sweep["values"]
+        _require(isinstance(thetas, list) and all(_is_number(t, 0) for t in thetas),
+                 "sweep theta must be a list of nonnegative numbers")
+        _require(isinstance(sweep["parameter"], str) and isinstance(values, list),
+                 "sweep parameter must be a string and values a list")
+        n_cells = len(thetas) * len(values)
         _require(0 < n_cells <= 1024, f"sweep has {n_cells} cells, limit is 1024")
+        for value in values:
+            _check_params(preset, {**params, sweep["parameter"]: value}, dimension)
 
     return ModelConfig(
         dimension=dimension,
         truncation=truncation,
-        theta=theta,
-        alpha=alpha,
+        theta=float(theta),
+        alpha=float(alpha),
         flow=flow,
         noise=noise,
-        tolerances=tols,
+        tolerances={key: float(v) for key, v in tols.items()},
         seed=seed,
-        t_grid=t_grid,
-        output=raw.get("output", "."),
+        t_grid=[float(t) for t in t_grid],
+        output=output,
         sweep=sweep,
     )
 
@@ -229,7 +280,6 @@ def build_flow(config):
         return FlowField.zero(D)
     if preset == "drift":
         c = params.get("c", [1.0] * D)
-        _require(len(c) == D, "drift preset needs one speed per axis")
         return FlowField.constant([float(v) for v in c])
     if preset == "langevin-cos":
         return FlowField([TrigField.sin(1, 0)])
@@ -282,14 +332,11 @@ def build_noise(config):
     return fields
 
 
-def build_model(config, theta=None, truncation=None):
-    """SdeModel for a config, optionally overriding theta or truncation."""
+def build_model(config, truncation=None):
+    """SdeModel for a config, optionally at another truncation."""
     layout = BasisLayout(config.dimension, truncation or config.truncation)
     return SdeModel(
-        layout,
-        build_flow(config),
-        build_noise(config),
-        config.theta if theta is None else theta,
+        layout, build_flow(config), build_noise(config), config.theta,
         config.alpha,
     )
 

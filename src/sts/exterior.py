@@ -137,23 +137,60 @@ def conv_matrix(f, layout):
 def _channel_map(layout, k_in, k_out, entries):
     """Assemble a block from per-channel scalar matrices.
 
-    ``entries`` is a list of (rank_out, rank_in, scalar_matrix) triples.
+    ``entries`` is a list of (rank_out, rank_in, scalar_matrix) triples,
+    each channel pair at most once.  Explicit zeros are dropped.
     """
     n = layout.n_modes
-    rows_out = layout.size(k_out)
-    cols_in = layout.size(k_in)
-    blocks = {}
+    rows, cols, vals = [], [], []
     for r_out, r_in, mat in entries:
-        key = (r_out, r_in)
-        blocks[key] = blocks[key] + mat if key in blocks else mat
-    out = sp.csr_matrix((rows_out, cols_in), dtype=complex)
-    for (r_out, r_in), m in blocks.items():
-        pad = sp.coo_matrix(m)
-        out = out + sp.csr_matrix(
-            (pad.data, (pad.row + r_out * n, pad.col + r_in * n)),
-            shape=(rows_out, cols_in),
-        )
-    return out
+        m = sp.coo_matrix(mat)
+        nz = m.data != 0
+        rows.append(m.row[nz] + r_out * n)
+        cols.append(m.col[nz] + r_in * n)
+        vals.append(m.data[nz])
+    shape = (layout.size(k_out), layout.size(k_in))
+    if not entries:
+        return sp.csr_matrix(shape, dtype=complex)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape, dtype=complex,
+    )
+
+
+def _wedge_map(layout, k, factors):
+    """Sum over axes of dx^axis ^ (factors[axis - 1] on every channel).
+
+    Maps degree k to k + 1; a factor of None is a vanishing term.
+    """
+    mi_out = layout.multi_indices(k + 1)
+    entries = [
+        (mi_out.index(tuple(sorted(I + (axis,)))), r_in,
+         insert_sign(axis, I) * factors[axis - 1])
+        for r_in, I in enumerate(layout.multi_indices(k))
+        for axis in range(1, layout.dimension + 1)
+        if axis not in I and factors[axis - 1] is not None
+    ]
+    return OperatorBlock(k, k + 1, layout, _channel_map(layout, k, k + 1, entries))
+
+
+def _contraction_map(layout, k, factors):
+    """Sum over axes of factors[axis - 1] times the contraction iota_axis.
+
+    Maps degree k to k - 1; a factor of None is a vanishing term.
+    """
+    mi_out = layout.multi_indices(k - 1)
+    entries = [
+        (mi_out.index(tuple(a for a in I if a != axis)), r_in,
+         remove_sign(axis, I) * factors[axis - 1])
+        for r_in, I in enumerate(layout.multi_indices(k))
+        for axis in I
+        if factors[axis - 1] is not None
+    ]
+    return OperatorBlock(k, k - 1, layout, _channel_map(layout, k, k - 1, entries))
+
+
+def _conv_factors(components, layout):
+    return [conv_matrix(c, layout) if c.coeffs else None for c in components]
 
 
 # -- the elementary operators -------------------------------------------------
@@ -163,34 +200,16 @@ def d_matrix(layout, k):
     """Exterior derivative Omega^k -> Omega^{k+1}; block-diagonal in kappa."""
     if not 0 <= k < layout.dimension:
         raise DegreeError(f"exterior derivative undefined at degree {k}")
-    mi_in = layout.multi_indices(k)
-    mi_out = layout.multi_indices(k + 1)
-    entries = []
-    for r_in, I in enumerate(mi_in):
-        for axis in range(1, layout.dimension + 1):
-            if axis in I:
-                continue
-            J = tuple(sorted(I + (axis,)))
-            r_out = mi_out.index(J)
-            entries.append((r_out, r_in, insert_sign(axis, I) * diff_matrix(layout, axis)))
-    return OperatorBlock(k, k + 1, layout, _channel_map(layout, k, k + 1, entries))
+    axes = range(1, layout.dimension + 1)
+    return _wedge_map(layout, k, [diff_matrix(layout, a) for a in axes])
 
 
 def codifferential_matrix(layout, k):
     """Euclidean codifferential Omega^k -> Omega^{k-1}: -sum_i iota_i d_i."""
     if not 1 <= k <= layout.dimension:
         raise DegreeError(f"codifferential undefined at degree {k}")
-    mi_in = layout.multi_indices(k)
-    mi_out = layout.multi_indices(k - 1)
-    entries = []
-    for r_in, I in enumerate(mi_in):
-        for axis in I:
-            J = tuple(a for a in I if a != axis)
-            r_out = mi_out.index(J)
-            entries.append(
-                (r_out, r_in, -remove_sign(axis, I) * diff_matrix(layout, axis))
-            )
-    return OperatorBlock(k, k - 1, layout, _channel_map(layout, k, k - 1, entries))
+    axes = range(1, layout.dimension + 1)
+    return _contraction_map(layout, k, [-diff_matrix(layout, a) for a in axes])
 
 
 def multiply_matrix(f, layout, k):
@@ -211,40 +230,14 @@ def interior_matrix(G, layout, k):
         raise DegreeError(f"interior product undefined at degree {k}")
     if G.dimension != layout.dimension:
         raise ValueError("flow dimension does not match layout")
-    mi_in = layout.multi_indices(k)
-    mi_out = layout.multi_indices(k - 1)
-    entries = []
-    for r_in, I in enumerate(mi_in):
-        for axis in I:
-            comp = G[axis - 1]
-            if not comp.coeffs:
-                continue
-            J = tuple(a for a in I if a != axis)
-            r_out = mi_out.index(J)
-            entries.append(
-                (r_out, r_in, remove_sign(axis, I) * conv_matrix(comp, layout))
-            )
-    return OperatorBlock(k, k - 1, layout, _channel_map(layout, k, k - 1, entries))
+    return _contraction_map(layout, k, _conv_factors(G.components, layout))
 
 
 def one_form_wedge_matrix(components, layout, k):
     """Exterior multiplication by the 1-form sum_i components[i] dx^i."""
     if not 0 <= k < layout.dimension:
         raise DegreeError(f"wedge by a 1-form undefined at degree {k}")
-    mi_in = layout.multi_indices(k)
-    mi_out = layout.multi_indices(k + 1)
-    entries = []
-    for r_in, I in enumerate(mi_in):
-        for axis in range(1, layout.dimension + 1):
-            comp = components[axis - 1]
-            if axis in I or not comp.coeffs:
-                continue
-            J = tuple(sorted(I + (axis,)))
-            r_out = mi_out.index(J)
-            entries.append(
-                (r_out, r_in, insert_sign(axis, I) * conv_matrix(comp, layout))
-            )
-    return OperatorBlock(k, k + 1, layout, _channel_map(layout, k, k + 1, entries))
+    return _wedge_map(layout, k, _conv_factors(components, layout))
 
 
 def hodge_star_matrix(layout, k):
@@ -340,16 +333,3 @@ def pairing_row(bra, layout):
         comp = bra.component(J)
         row[r_in * N : (r_in + 1) * N] = vol * sign_JI * comp[::-1]
     return row
-
-
-def row_to_bra(row, degree_ket, layout):
-    """Inverse of :func:`pairing_row`: dual-row -> degree D-k bra form."""
-    D = layout.dimension
-    N = layout.n_modes
-    vol = (2 * np.pi) ** D
-    bra = FormVector.zero(D - degree_ket, layout)
-    for r_in, I in enumerate(layout.multi_indices(degree_ket)):
-        _, J = complement_sign(I, D)
-        sign_JI, _ = complement_sign(J, D)
-        bra.component(J)[:] = row[r_in * N : (r_in + 1) * N][::-1] / (vol * sign_JI)
-    return bra

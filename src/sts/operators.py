@@ -9,7 +9,7 @@ truncation, which keeps the boson-fermion pairing of the spectrum intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +24,7 @@ from .exterior import (
     one_form_wedge_matrix,
 )
 from .layout import BasisLayout
-from .trig import FlowField, TrigField, identity_frame, trig_diff, trig_mul
+from .trig import FlowField, TrigField, identity_frame
 
 
 @dataclass
@@ -112,26 +112,34 @@ class SeoBlocks:
         return out
 
 
+def _graded_anticommutator(up, down, layout, k):
+    """down(k + 1) up(k) + up(k - 1) down(k) on degree-k forms.
+
+    ``up(j)`` maps degree j to j + 1 and ``down(j)`` degree j to j - 1;
+    at k = 0 and k = D only the term that exists is kept.
+    """
+    n = layout.size(k)
+    total = sp.csr_matrix((n, n), dtype=complex)
+    if k < layout.dimension:
+        total = total + down(k + 1) @ up(k)
+    if k > 0:
+        total = total + up(k - 1) @ down(k)
+    return total
+
+
 def lie_matrix(G, layout, k):
     """Lie derivative along G on degree-k forms via the Cartan formula.
 
     Both terms use the truncated interior product, so the commutator
-    [d, L_G] vanishes identically on the truncated basis.  At k = 0 only
-    the contraction-after-d term exists, at k = D only d-after-contraction.
+    [d, L_G] vanishes identically on the truncated basis.
     """
     D = layout.dimension
     if not 0 <= k <= D:
         raise ValueError(f"degree {k} outside 0..{D}")
-    n = layout.size(k)
-    total = sp.csr_matrix((n, n), dtype=complex)
-    if k < D:
-        total = total + (
-            interior_matrix(G, layout, k + 1).matrix @ d_matrix(layout, k).matrix
-        )
-    if k > 0:
-        total = total + (
-            d_matrix(layout, k - 1).matrix @ interior_matrix(G, layout, k).matrix
-        )
+    total = _graded_anticommutator(
+        lambda j: d_matrix(layout, j).matrix,
+        lambda j: interior_matrix(G, layout, j).matrix, layout, k,
+    )
     return OperatorBlock(k, k, layout, total)
 
 
@@ -149,22 +157,29 @@ def alpha_drift(F, noise, theta, alpha):
         shift = TrigField.zero(D)
         for e in noise:
             for j in range(D):
-                shift = shift + trig_mul(trig_diff(e[i], j), e[j])
+                shift = shift + e[i].diff(j) * e[j]
         comps.append(F[i] + coef * shift)
     return FlowField(comps)
 
 
 def seo_blocks(model, provenance="stratonovich"):
-    """Stratonovich evolution operator H = L_F - theta sum_a L_a L_a."""
+    """Stratonovich evolution operator H = L_F - theta sum_a L_a L_a.
+
+    The noise term is summed before it is scaled, so the identity frame
+    gives exactly the blocks of the dynamo generator L_v + eta Delta_H.
+    """
     if model.theta < 0:
         raise ValueError("temperature must be nonnegative")
     layout = model.layout
     blocks = []
     for k in range(layout.dimension + 1):
-        H = lie_matrix(model.drift, layout, k).matrix.copy()
+        H = lie_matrix(model.drift, layout, k).matrix
+        noise = None
         for e in model.noise:
             L = lie_matrix(e, layout, k).matrix
-            H = H - model.theta * (L @ L)
+            noise = L @ L if noise is None else noise + L @ L
+        if noise is not None:
+            H = H - model.theta * noise
         blocks.append(OperatorBlock(k, k, layout, H))
     return SeoBlocks(tuple(blocks), provenance, layout)
 
@@ -183,15 +198,7 @@ def seo_alpha(model):
 
 def seo_time_reversed(model):
     """Time-reversed evolution operator H_T = -L_F - theta sum_a L_a L_a."""
-    layout = model.layout
-    blocks = []
-    for k in range(layout.dimension + 1):
-        H = -lie_matrix(model.drift, layout, k).matrix
-        for e in model.noise:
-            L = lie_matrix(e, layout, k).matrix
-            H = H - model.theta * (L @ L)
-        blocks.append(OperatorBlock(k, k, layout, H))
-    return SeoBlocks(tuple(blocks), "time-reversed", layout)
+    return seo_blocks(replace(model, drift=-model.drift), "time-reversed")
 
 
 def fp_matrix_direct(F, noise, theta, alpha, layout):
@@ -222,23 +229,18 @@ def fp_matrix_direct(F, noise, theta, alpha, layout):
 
 
 def hodge_laplacian_blocks(layout):
-    """Euclidean Hodge Laplacian d d^dag + d^dag d per degree."""
-    D = layout.dimension
-    blocks = []
-    for k in range(D + 1):
-        n = layout.size(k)
-        lap = sp.csr_matrix((n, n), dtype=complex)
-        if k < D:
-            lap = lap + (
-                codifferential_matrix(layout, k + 1).matrix
-                @ d_matrix(layout, k).matrix
-            )
-        if k > 0:
-            lap = lap + (
-                d_matrix(layout, k - 1).matrix
-                @ codifferential_matrix(layout, k).matrix
-            )
-        blocks.append(OperatorBlock(k, k, layout, lap))
+    """Euclidean Hodge Laplacian d d^dag + d^dag d per degree.
+
+    Assembled from the codifferential rather than from Lie derivatives,
+    so it is an independent oracle for the diffusive part of the dynamo.
+    """
+    blocks = [
+        OperatorBlock(k, k, layout, _graded_anticommutator(
+            lambda j: d_matrix(layout, j).matrix,
+            lambda j: codifferential_matrix(layout, j).matrix, layout, k,
+        ))
+        for k in range(layout.dimension + 1)
+    ]
     return SeoBlocks(tuple(blocks), "hodge-laplacian", layout)
 
 
@@ -247,17 +249,13 @@ def kd_operator(v, eta, layout):
 
     The degree-2 block propagates the magnetic 2-form of the induction
     equation; a negative real part in its spectrum signals dynamo growth.
+    It is the evolution operator of :func:`kd_model`.
     """
     if layout.dimension != 3:
         raise ValueError("the kinematic dynamo is defined on T^3 only")
     if eta <= 0:
         raise ValueError(f"magnetic diffusivity must be positive, got {eta}")
-    lap = hodge_laplacian_blocks(layout)
-    blocks = []
-    for k in range(4):
-        H = lie_matrix(v, layout, k).matrix + eta * lap[k].matrix
-        blocks.append(OperatorBlock(k, k, layout, H))
-    return SeoBlocks(tuple(blocks), "kinematic-dynamo", layout)
+    return seo_blocks(kd_model(v, eta, layout), "kinematic-dynamo")
 
 
 def kd_model(v, eta, layout):
@@ -288,16 +286,12 @@ def langevin_hermitian_blocks(U, theta, layout):
     """
     if theta <= 0:
         raise ValueError("positive temperature required")
-    D = layout.dimension
-    blocks = []
-    for k in range(D + 1):
-        n = layout.size(k)
-        H = sp.csr_matrix((n, n), dtype=complex)
-        if k < D:
-            dU = deformed_d_matrix(U, theta, layout, k).matrix
-            H = H + dU.conj().T @ dU
-        if k > 0:
-            dU = deformed_d_matrix(U, theta, layout, k - 1).matrix
-            H = H + dU @ dU.conj().T
-        blocks.append(OperatorBlock(k, k, layout, theta * H))
+    blocks = [
+        OperatorBlock(k, k, layout, theta * _graded_anticommutator(
+            lambda j: deformed_d_matrix(U, theta, layout, j).matrix,
+            lambda j: deformed_d_matrix(U, theta, layout, j - 1).matrix.conj().T,
+            layout, k,
+        ))
+        for k in range(layout.dimension + 1)
+    ]
     return SeoBlocks(tuple(blocks), "langevin-hermitian", layout)

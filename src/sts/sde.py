@@ -288,15 +288,7 @@ def lyapunov(model, x0, dt, steps, rng, n_exponents=None, qr_interval=10):
 def mc_expectation(model, f, burn_in, samples, rng, dt, n_traj=16, n_batches=20):
     """Ergodic average of f along trajectories with batch-means errors."""
     x = ensemble_states(model, n_traj, dt, burn_in, rng)
-    values = np.empty((samples, n_traj))
-    s2t = np.sqrt(2.0 * model.theta)
-    M = len(model.noise)
-    for n in range(samples):
-        dw = rng.normal(0.0, np.sqrt(dt), size=(n_traj, M))
-        k1 = _increment(model, x, dt, dw, s2t)
-        k2 = _increment(model, x + k1, dt, dw, s2t)
-        x = np.mod(x + 0.5 * (k1 + k2), TWO_PI)
-        values[n] = f.evaluate(x)
+    values = f.evaluate(_integrate(model, x, dt, samples, rng, "heun").states[1:])
     batches = np.array_split(values.reshape(-1), n_batches)
     means = np.array([b.mean() for b in batches])
     stderr = float(means.std(ddof=1) / np.sqrt(n_batches))
@@ -314,16 +306,8 @@ def mc_autocorrelation(model, f, lags, burn_in, samples, rng, dt,
         raise ValueError("lags must be integer multiples of dt")
     max_lag = max(lag_steps)
     x = ensemble_states(model, n_traj, dt, burn_in, rng)
-    values = np.empty((samples + max_lag, n_traj))
-    s2t = np.sqrt(2.0 * model.theta)
-    M = len(model.noise)
-    values[0] = f.evaluate(x)
-    for n in range(1, samples + max_lag):
-        dw = rng.normal(0.0, np.sqrt(dt), size=(n_traj, M))
-        k1 = _increment(model, x, dt, dw, s2t)
-        k2 = _increment(model, x + k1, dt, dw, s2t)
-        x = np.mod(x + 0.5 * (k1 + k2), TWO_PI)
-        values[n] = f.evaluate(x)
+    path = _integrate(model, x, dt, samples + max_lag - 1, rng, "heun")
+    values = f.evaluate(path.states)
     out = []
     for s in lag_steps:
         prod = values[:samples] * values[s : s + samples]

@@ -18,14 +18,11 @@ import scipy.sparse.linalg as spla
 from .exterior import (
     OperatorBlock,
     d_matrix,
-    dual_pairing,
     hodge_star_inverse_matrix,
     hodge_star_matrix,
     interior_matrix,
     multiply_matrix,
-    row_to_bra,
 )
-from .layout import FormVector
 
 UNBROKEN = "unbroken"
 BROKEN_REAL = "broken-real"
@@ -78,13 +75,6 @@ class EigenSystem:
     @property
     def has_vectors(self):
         return self.right is not None and not self.near_defective
-
-    def right_form(self, n):
-        return FormVector(self.degree, self.layout, self.right[:, n].copy())
-
-    def left_bra(self, n):
-        """Left functional of state n as a degree D-k form (bra convention)."""
-        return row_to_bra(self.left[n], self.degree, self.layout)
 
 
 def eigensolve(block, vectors=True):
@@ -189,11 +179,12 @@ def partition_slope(systems, ground_energy, n_samples=25):
     return float(slope), (float(T), float(2 * T))
 
 
-def pairing_check(systems, tol, converged=None, blocks=None):
+def pairing_check(systems, tol, converged=None, *, blocks):
     """Verify the boson-fermion pairing of all nonzero eigenvalues.
 
     For each state with dpsi appreciably nonzero, dpsi must be an
-    eigenvector of the next block with the same eigenvalue; otherwise a
+    eigenvector of the next block of ``blocks`` (the operator the
+    ``systems`` were solved from) with the same eigenvalue; otherwise a
     matching eigenvalue must exist one degree down.  Also compares the
     nonzero even- and odd-degree spectra as multisets.  Returns a dict
     with per-state partner records and a list of violations.
@@ -217,12 +208,7 @@ def pairing_check(systems, tol, converged=None, blocks=None):
             else:
                 nd = 0.0
             if nd > tol.tol_pair:
-                if blocks is not None:
-                    h_dpsi = blocks[k + 1].matrix @ dpsi
-                else:
-                    h_dpsi = systems[k + 1].right @ (
-                        (systems[k + 1].left @ dpsi) * systems[k + 1].eigenvalues
-                    )
+                h_dpsi = blocks[k + 1].matrix @ dpsi
                 resid = np.linalg.norm(h_dpsi - lam * dpsi) / nd
                 if resid <= tol.tol_pair:
                     partners.append((k, n, k + 1, resid))
@@ -237,21 +223,26 @@ def pairing_check(systems, tol, converged=None, blocks=None):
                     partners.append((k, n, k - 1, gap))
                 else:
                     violations.append((k, n, "no partner one degree down", gap))
-    even = np.concatenate([
-        s.eigenvalues[np.abs(s.eigenvalues) > thr]
-        for s in systems if s.degree % 2 == 0
-    ])
-    odd = np.concatenate([
-        s.eigenvalues[np.abs(s.eigenvalues) > thr]
-        for s in systems if s.degree % 2 == 1
-    ])
-    multiset_dist = hausdorff_distance(even, odd)
     return {
         "partners": partners,
         "violations": violations,
-        "even_odd_distance": multiset_dist,
+        "even_odd_distance": even_odd_distance(systems, thr),
         "threshold": thr,
     }
+
+
+def even_odd_distance(systems, thr):
+    """Hausdorff distance between the nonzero even- and odd-degree spectra.
+
+    Eigenvalues of modulus at most ``thr`` count as zero modes and are
+    left out of both multisets.
+    """
+    def nonzero(parity):
+        return np.concatenate([
+            s.eigenvalues[np.abs(s.eigenvalues) > thr]
+            for s in systems if s.degree % 2 == parity
+        ])
+    return hausdorff_distance(nonzero(0), nonzero(1))
 
 
 def hausdorff_distance(a, b):
@@ -431,17 +422,14 @@ def _ground_vectors(ground, systems):
 
 
 def expectation(f, ground, systems=None):
-    """Ground-state average of a function via the dual-pairing integral.
+    """Ground-state average of a function, <ground| M_f |ground>.
 
-    Computes the wedge of the ground bra with f times the ground ket and
-    integrates over the torus.  The imaginary part is returned as a
-    sanity residual.
+    The left eigen-row is the dual-pairing functional of the ground bra,
+    so this is the pairing integral of the bra with f times the ket.  The
+    imaginary part is returned as a sanity residual.
     """
     right, left, k, layout = _ground_vectors(ground, systems)
-    ket = FormVector(k, layout, right.copy())
-    bra = row_to_bra(left, k, layout)
-    f_ket = multiply_matrix(f, layout, k).apply(ket)
-    val = dual_pairing(bra, f_ket)
+    val = left @ (multiply_matrix(f, layout, k).matrix @ right)
     return float(val.real), float(abs(val.imag))
 
 
@@ -653,7 +641,7 @@ def analyze(blocks, builder=None, tol=None, t_grid=(0.1, 1.0, 10.0),
     if near_def or not all(s.has_vectors for s in systems):
         pairing = None
     else:
-        pairing = pairing_check(systems, tol, converged, blocks)
+        pairing = pairing_check(systems, tol, converged, blocks=blocks)
     w = witten_index(systems, t_grid)
     z = partition_function(systems, t_grid)
     label = classify(systems, tol, converged)

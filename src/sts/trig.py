@@ -175,16 +175,6 @@ class TrigField:
         return f"TrigField(D={self.dimension}, modes={len(self.coeffs)})"
 
 
-def trig_diff(f, axis):
-    """Exact derivative of a TrigField; module-level convenience form."""
-    return f.diff(axis)
-
-
-def trig_mul(f, g):
-    """Exact product of two TrigFields; bandwidth adds."""
-    return f * g
-
-
 class FlowField:
     """Vector field on T^D with one TrigField per component."""
 

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sts
 from sts.cli import main
 from sts.config import (
+    PRESETS,
     ConfigError,
     abc_field,
     build_flow,
@@ -262,6 +265,128 @@ def test_cli_overrides(tmp_path):
     assert report["config"]["truncation"] == 6
     assert report["config"]["theta"] == 0.7
     assert report["payload"]["witten"]["t"] == [0.2, 2.0]
+
+
+_NOISE_MODE = {"axis": 1, "wavevector": [1], "re": 0.2, "im": 0.0}
+_SWEEP = {"theta": [0.3], "parameter": "seed", "values": [1, 2]}
+
+_ABC = {"dimension": 3, "truncation": 1, "theta": 0.1, "flow": {"preset": "abc"}}
+
+
+def _case(name, command, doc, *flags):
+    return pytest.param(command, doc, list(flags), id=name)
+
+
+# each case has one value out of range, in a flag or in the config
+_OUT_OF_RANGE = [
+    _case("truncation-0", "spectrum", MINIMAL, "--truncation", "0"),
+    _case("theta-negative", "spectrum", MINIMAL, "--theta", "-1"),
+    _case("alpha-3", "spectrum", MINIMAL, "--alpha", "3"),
+    _case("t-grid-text", "spectrum", MINIMAL, "--t-grid", "0.1,abc"),
+    _case("t-grid-negative", "spectrum", MINIMAL, "--t-grid", "-1"),
+    _case("seed-negative", "spectrum", MINIMAL, "--seed", "-1"),
+    _case("dimension-bool", "spectrum", {**MINIMAL, "dimension": True}),
+    _case("truncation-bool", "spectrum", {**MINIMAL, "truncation": True}),
+    _case("seed-bool", "spectrum", {**MINIMAL, "seed": True}),
+    _case("noise-no-wavevector", "spectrum", {**MINIMAL, "noise": [[
+        {k: v for k, v in _NOISE_MODE.items() if k != "wavevector"}]]}),
+    _case("noise-axis-text", "spectrum",
+          {**MINIMAL, "noise": [[{**_NOISE_MODE, "axis": "1"}]]}),
+    _case("sweep-theta-negative", "sweep",
+          {**MINIMAL, "flow": {"preset": "random"},
+           "sweep": {**_SWEEP, "theta": [0.3, -0.1]}}),
+    _case("sweep-seed-text", "sweep",
+          {**MINIMAL, "flow": {"preset": "random"},
+           "sweep": {**_SWEEP, "values": [1, "two"]}}),
+    _case("evolve-t-negative", "evolve", MINIMAL, "--t", "-1"),
+    _case("mc-samples-0", "mc-compare", MINIMAL, "--samples", "0"),
+    _case("mc-t-0", "mc-compare", MINIMAL, "--t", "0"),
+    _case("mc-dt-0", "mc-compare", MINIMAL, "--dt", "0"),
+    _case("mc-dt-negative", "mc-compare", MINIMAL, "--dt", "-0.01"),
+    _case("mc-dt-nan", "mc-compare", MINIMAL, "--dt", "nan"),
+    _case("dynamo-steps-0", "dynamo", _ABC, "--steps", "0"),
+]
+
+
+@pytest.mark.parametrize("command,doc,flags", _OUT_OF_RANGE)
+def test_out_of_range_input_exits_2(tmp_path, capsys, command, doc, flags):
+    cfg = write_config(tmp_path, doc)
+    try:
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     *flags])
+    except SystemExit as exc:  # argparse rejects a flag by exiting
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _config_documents(draw):
+    """Config documents near the schema, with some values and keys broken."""
+    D = draw(st.integers(1, 3))
+
+    def mode():
+        return st.fixed_dictionaries(
+            {"axis": st.integers(0, D + 1),
+             "wavevector": st.lists(st.integers(-2, 2), min_size=D, max_size=D),
+             "re": st.floats(-1, 1), "im": st.floats(-1, 1)},
+        ) | _JSON
+
+    param = st.floats(-2, 2) | st.integers(-1, 3) | st.lists(
+        st.floats(-1, 1), min_size=D, max_size=D) | _JSON
+    flow = st.fixed_dictionaries(
+        {"preset": st.sampled_from(PRESETS)},
+        optional={
+            "params": st.dictionaries(
+                st.sampled_from(["a", "A", "c", "seed", "bandwidth",
+                                 "amplitude", "other"]), param, max_size=3),
+            "modes": st.lists(mode(), max_size=3),
+        },
+    )
+    doc = draw(st.fixed_dictionaries(
+        {"dimension": st.just(D), "truncation": st.integers(0, 4),
+         "theta": st.floats(-0.5, 2), "flow": flow},
+        optional={
+            "alpha": st.floats(-0.5, 1.5),
+            "noise": st.just("identity")
+            | st.lists(st.lists(mode(), max_size=2), max_size=2),
+            "tolerances": st.dictionaries(
+                st.sampled_from(["tol_zero", "tol_pair", "tol_converge"]),
+                st.floats(-1e-3, 1)),
+            "seed": st.integers(-1, 2**40),
+            "t_grid": st.lists(st.floats(-1, 10), max_size=3),
+            "output": st.text(max_size=4),
+            "sweep": st.fixed_dictionaries(
+                {"theta": st.lists(st.floats(-0.5, 2), max_size=3),
+                 "parameter": st.sampled_from(["seed", "a", "amplitude"]),
+                 "values": st.lists(param, max_size=3)}),
+        },
+    ))
+    broken = draw(st.dictionaries(
+        st.sampled_from(sorted(doc) + ["bogus"]), _JSON, max_size=1))
+    return {**doc, **broken}
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_config_documents())
+def test_parse_config_accepts_canonically_or_raises_config_error(doc):
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    once = cfg.to_json()
+    assert parse_config(once).to_json() == once
 
 
 def _declared_console_script():

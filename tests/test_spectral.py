@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from sts.exterior import OperatorBlock
-from sts.layout import BasisLayout
+from sts.exterior import OperatorBlock, dual_pairing, multiply_matrix, pairing_row
+from sts.layout import BasisLayout, FormVector
 from sts.operators import SdeModel, seo_blocks, seo_time_reversed
 from sts.spectral import (
     BROKEN_COMPLEX,
@@ -242,6 +242,30 @@ def test_expectation_matches_gibbs_average():
     oracle = -iv(1, 1.0 / theta) / iv(0, 1.0 / theta)
     assert abs(val - oracle) < 1e-10
     assert imag < 1e-10
+
+
+def test_expectation_is_the_dual_pairing():
+    # with the left row taken as the pairing row of a bra, the expectation
+    # must be the wedge-pairing integral of that bra with f times the ket
+    rng = np.random.default_rng(17)
+    lay = BasisLayout(2, 2)
+
+    def random_form(degree):
+        n = lay.size(degree)
+        return FormVector(
+            degree, lay, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        )
+
+    for k in range(3):
+        bra, ket = random_form(2 - k), random_form(k)
+        f = TrigField.random(2, 1, rng, 0.5)
+        ground = {"right": ket.coeffs, "left": pairing_row(bra, lay),
+                  "degree": k, "layout": lay}
+        val, imag = expectation(f, ground)
+        direct = dual_pairing(bra, multiply_matrix(f, lay, k).apply(ket))
+        scale = max(1.0, abs(direct))
+        assert abs(val - direct.real) < 1e-10 * scale
+        assert abs(imag - abs(direct.imag)) < 1e-10 * scale
 
 
 def test_correlator_free_diffusion():

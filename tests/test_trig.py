@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sts.trig import FlowField, TrigField, identity_frame, trig_diff, trig_mul
+from sts.trig import FlowField, TrigField, identity_frame
 
 
 def test_reality_enforced():
@@ -15,28 +15,28 @@ def test_reality_enforced():
 
 def test_diff_cos_is_minus_sin():
     f = TrigField.cos(1, 0)
-    g = trig_diff(f, 0)
+    g = f.diff(0)
     assert (g - TrigField.sin(1, 0, -1.0)).max_abs() < 1e-15
 
 
 def test_mul_cos_squared():
     f = TrigField.cos(1, 0)
     expect = TrigField.constant(1, 0.5) + TrigField.cos(1, 0, 0.5, 2)
-    assert (trig_mul(f, f) - expect).max_abs() < 1e-15
+    assert (f * f - expect).max_abs() < 1e-15
 
 
 def test_mul_sin_times_one_plus_cos():
     f = TrigField.sin(1, 0)
     g = TrigField.constant(1, 1.0) + TrigField.cos(1, 0)
     expect = TrigField.sin(1, 0) + TrigField.harmonic(1, (2,), 0.5, "sin")
-    assert (trig_mul(f, g) - expect).max_abs() < 1e-15
+    assert (f * g - expect).max_abs() < 1e-15
 
 
 def test_bandwidth_adds_under_product():
     f = TrigField.cos(2, 0, harmonic=2)
     g = TrigField.sin(2, 1, harmonic=3)
-    assert trig_mul(f, g).bandwidth() == 3
-    assert trig_mul(f, f).bandwidth() == 4
+    assert (f * g).bandwidth() == 3
+    assert (f * f).bandwidth() == 4
 
 
 def test_evaluate_matches_closed_form():
@@ -94,11 +94,11 @@ def test_identity_frame():
 def test_product_and_leibniz_properties(a, b):
     f = TrigField.constant(1, a[0]) + TrigField.cos(1, 0, a[1]) + TrigField.sin(1, 0, a[2])
     g = TrigField.constant(1, b[0]) + TrigField.cos(1, 0, b[1], 2) + TrigField.sin(1, 0, b[2])
-    fg = trig_mul(f, g)
+    fg = f * g
     x = np.linspace(0.0, 2 * np.pi, 17)[:, None]
     assert np.allclose(fg.evaluate(x), f.evaluate(x) * g.evaluate(x), atol=1e-12)
-    lhs = trig_diff(fg, 0)
-    rhs = trig_mul(trig_diff(f, 0), g) + trig_mul(f, trig_diff(g, 0))
+    lhs = fg.diff(0)
+    rhs = f.diff(0) * g + f * g.diff(0)
     assert (lhs - rhs).max_abs() < 1e-12
 
 
