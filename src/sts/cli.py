@@ -74,13 +74,11 @@ def run_pipeline(config, check_convergence=True, dynamo=False):
     else:
         builder = _seo_builder(config)
     blocks = builder(BasisLayout(config.dimension, config.truncation))
-    vectors = config.dimension <= 2
     rep = spectral.analyze(
         blocks,
         builder=builder if check_convergence else None,
         tol=tol,
         t_grid=config.t_grid,
-        vectors=vectors,
     )
     if config.theta == 0 and not check_convergence:
         # deterministic-limit spectra may be defective; refuse to certify
@@ -256,14 +254,6 @@ def cmd_dynamo(config, args, out_dir):
     return doc, EXIT_OK if doc.passed() else EXIT_CHECK_FAILED
 
 
-def _converged_values(systems, masks):
-    out = []
-    for k, s in enumerate(systems):
-        mask = masks[k] if masks is not None else np.ones(s.size, bool)
-        out.append(s.eigenvalues[mask])
-    return out
-
-
 def cmd_langevin_check(config, args, out_dir):
     potential = build_potential(config)
     if potential is None:
@@ -288,8 +278,8 @@ def cmd_langevin_check(config, args, out_dir):
     h_masks = spectral.convergence_masks(rep.systems, _seo_builder(config), oracle_tol)
     hu_masks = spectral.convergence_masks(hu_systems, hu_builder, oracle_tol)
     radius = spectral.spectral_radius(rep.systems)
-    h_conv = _converged_values(rep.systems, h_masks)
-    hu_conv = _converged_values(hu_systems, hu_masks)
+    h_conv = [s.eigenvalues[m] for s, m in zip(rep.systems, h_masks)]
+    hu_conv = [s.eigenvalues[m] for s, m in zip(hu_systems, hu_masks)]
     imag_worst = max(
         (float(np.max(np.abs(v.imag))) if len(v) else 0.0) for v in h_conv
     )
@@ -455,7 +445,10 @@ def main(argv=None):
     try:
         config = parse_config(_with_overrides(text, args))
         out_dir = Path(args.out or config.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory: {exc}") from exc
         doc, code = _COMMANDS[args.command](config, args, out_dir)
     except ConfigError as exc:
         print(f"sts: config error: {exc}", file=sys.stderr)

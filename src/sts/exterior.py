@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .layout import BasisLayout, FormVector
-from .trig import FlowField, TrigField
 
 
 class DegreeError(ValueError):
@@ -47,25 +46,6 @@ class OperatorBlock:
         if form.degree != self.k_in or form.layout != self.layout:
             raise ValueError("form does not match operator domain")
         return FormVector(self.k_out, self.layout, self.matrix @ form.coeffs)
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorBlock):
-            if other.k_out != self.k_in or other.layout != self.layout:
-                raise ValueError("operator degrees do not compose")
-            return OperatorBlock(
-                other.k_in, self.k_out, self.layout, self.matrix @ other.matrix
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        if (self.k_in, self.k_out) != (other.k_in, other.k_out):
-            raise ValueError("cannot add blocks of different degrees")
-        return OperatorBlock(
-            self.k_in, self.k_out, self.layout, self.matrix + other.matrix
-        )
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
 
     def __mul__(self, scalar):
         return OperatorBlock(self.k_in, self.k_out, self.layout, self.matrix * scalar)

@@ -70,9 +70,9 @@ class BasisLayout:
         rank = self.multi_indices(k).index(tuple(multi_index))
         return rank * self.n_modes + int(self.mode_index(kappa))
 
-    def refined(self, extra=2):
-        """Same layout with truncation N + extra (convergence checks)."""
-        return BasisLayout(self.dimension, self.truncation + extra)
+    def refined(self):
+        """Same layout with truncation N + 2 (convergence checks)."""
+        return BasisLayout(self.dimension, self.truncation + 2)
 
 
 @dataclass
@@ -119,9 +119,3 @@ class FormVector:
             block = self.coeffs[rank * n : (rank + 1) * n]
             worst = max(worst, float(np.max(np.abs(block[::-1] - np.conj(block)))))
         return worst
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
-    def copy(self):
-        return FormVector(self.degree, self.layout, self.coeffs.copy())

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
 import scipy.sparse as sp
 
 from .exterior import (
@@ -75,12 +74,9 @@ class SeoBlocks:
     """One square operator block per form degree k = 0..D."""
 
     blocks: tuple
-    provenance: str
-    layout: BasisLayout = field(repr=False, default=None)
+    layout: BasisLayout = field(repr=False)
 
     def __post_init__(self):
-        if self.layout is None:
-            self.layout = self.blocks[0].layout
         D = self.layout.dimension
         if len(self.blocks) != D + 1:
             raise ValueError(f"expected {D + 1} blocks, got {len(self.blocks)}")
@@ -162,7 +158,7 @@ def alpha_drift(F, noise, theta, alpha):
     return FlowField(comps)
 
 
-def seo_blocks(model, provenance="stratonovich"):
+def seo_blocks(model):
     """Stratonovich evolution operator H = L_F - theta sum_a L_a L_a.
 
     The noise term is summed before it is scaled, so the identity frame
@@ -181,7 +177,7 @@ def seo_blocks(model, provenance="stratonovich"):
         if noise is not None:
             H = H - model.theta * noise
         blocks.append(OperatorBlock(k, k, layout, H))
-    return SeoBlocks(tuple(blocks), provenance, layout)
+    return SeoBlocks(tuple(blocks), layout)
 
 
 def seo_alpha(model):
@@ -193,12 +189,12 @@ def seo_alpha(model):
         model.theta,
         0.5,
     )
-    return seo_blocks(shifted, provenance=f"alpha({model.alpha})")
+    return seo_blocks(shifted)
 
 
 def seo_time_reversed(model):
     """Time-reversed evolution operator H_T = -L_F - theta sum_a L_a L_a."""
-    return seo_blocks(replace(model, drift=-model.drift), "time-reversed")
+    return seo_blocks(replace(model, drift=-model.drift))
 
 
 def fp_matrix_direct(F, noise, theta, alpha, layout):
@@ -241,7 +237,7 @@ def hodge_laplacian_blocks(layout):
         ))
         for k in range(layout.dimension + 1)
     ]
-    return SeoBlocks(tuple(blocks), "hodge-laplacian", layout)
+    return SeoBlocks(tuple(blocks), layout)
 
 
 def kd_operator(v, eta, layout):
@@ -255,7 +251,7 @@ def kd_operator(v, eta, layout):
         raise ValueError("the kinematic dynamo is defined on T^3 only")
     if eta <= 0:
         raise ValueError(f"magnetic diffusivity must be positive, got {eta}")
-    return seo_blocks(kd_model(v, eta, layout), "kinematic-dynamo")
+    return seo_blocks(kd_model(v, eta, layout))
 
 
 def kd_model(v, eta, layout):
@@ -294,4 +290,4 @@ def langevin_hermitian_blocks(U, theta, layout):
         ))
         for k in range(layout.dimension + 1)
     ]
-    return SeoBlocks(tuple(blocks), "langevin-hermitian", layout)
+    return SeoBlocks(tuple(blocks), layout)

@@ -1,8 +1,11 @@
 """Machine-readable report emission: canonical JSON and RFC-4180 CSV.
 
-Reports are deterministic: identical config and seed produce byte-identical
-files.  Wall-clock timing is therefore written to a sibling text file
-rather than into the JSON payload.
+Reports are deterministic at a fixed BLAS thread count: identical config,
+seed and thread count produce byte-identical files.  A different thread
+count changes the floating-point summation order inside the eigensolvers,
+which can move eigenvalues in their last digits and reorder near-ties.
+Wall-clock timing is written to a sibling text file rather than into the
+JSON payload.
 """
 
 from __future__ import annotations
@@ -23,25 +26,24 @@ class ReportDocument:
     payload: dict
     checks: dict = field(default_factory=dict)
     timing: float = 0.0
-    version: str = __version__
 
     def passed(self):
         return all(self.checks.values())
 
     def to_dict(self):
         return {
-            "version": self.version,
+            "version": __version__,
             "config": self.config,
             "payload": self.payload,
             "checks": self.checks,
         }
 
-    def write(self, out_dir, name="report"):
+    def write(self, out_dir):
+        """Write report.json and report.timing.txt into an existing directory."""
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{name}.json"
+        path = out / "report.json"
         path.write_text(canonical_json(self.to_dict()), encoding="utf-8")
-        (out / f"{name}.timing.txt").write_text(
+        (out / "report.timing.txt").write_text(
             f"{self.timing:.3f} s\n", encoding="utf-8"
         )
         return path
@@ -54,7 +56,6 @@ def write_eigenvalue_csv(path, spectra):
     SpectralReport.to_dict()["spectra"].
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["degree", "index", "re", "im", "converged"])
@@ -70,7 +71,6 @@ def write_eigenvalue_csv(path, spectra):
 def write_table_csv(path, header, rows):
     """Generic small numeric table (t/W/Z samples, densities, sweeps)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)

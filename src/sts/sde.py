@@ -14,24 +14,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .exterior import integrate_top
-from .layout import BasisLayout, FormVector
+from .layout import FormVector
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class RngSpec:
-    """Reproducible per-trajectory random streams.
-
-    Stream i is seeded with the pair (master_seed, i), so distinct
-    trajectories get independent counter-derived streams and reruns are
-    bit-identical.
-    """
-
-    master_seed: int
-
-    def stream(self, index):
-        return np.random.default_rng([self.master_seed, index])
+# trajectories and batches of the Monte Carlo averages
+_MC_TRAJECTORIES = 16
+_MC_BATCHES = 20
 
 
 @dataclass
@@ -41,7 +29,6 @@ class Trajectory:
     dt: float
     times: np.ndarray = field(repr=False)
     states: np.ndarray = field(repr=False)
-    tangent: np.ndarray = field(repr=False, default=None)
 
 
 @dataclass
@@ -222,28 +209,22 @@ def density_bin_averages(psi, bins):
     return out.real
 
 
-def l1_distance(density_a, density_b):
-    """Integrated absolute difference of two densities on the same grid.
-
-    Accepts EnsembleDensity objects or plain density arrays.
-    """
-    a = density_a.density if isinstance(density_a, EnsembleDensity) else density_a
-    b = density_b.density if isinstance(density_b, EnsembleDensity) else density_b
-    D = a.ndim
-    bins = a.shape[0]
-    cell = (TWO_PI / bins) ** D
-    return float(np.sum(np.abs(a - b)) * cell)
+def l1_distance(hist, density):
+    """Integrated absolute difference of a histogram and a density array
+    on the histogram's grid."""
+    return float(np.sum(np.abs(hist.density - density)) * hist.cell_volume)
 
 
-def lyapunov(model, x0, dt, steps, rng, n_exponents=None, qr_interval=10):
+def lyapunov(model, x0, dt, steps, rng):
     """Stochastic Lyapunov exponents via QR-reorthonormalized tangents.
 
     The tangent matrix is propagated with the same Heun scheme as the
-    state, using exact symbolic Jacobians of the drift and noise fields.
+    state, using exact symbolic Jacobians of the drift and noise fields,
+    and re-orthonormalized every 10 steps.
     """
     _check_dt(model, dt)
     D = model.dimension
-    n_exponents = n_exponents or D
+    qr_interval = 10
     jac_F = model.drift.jacobian()
     jac_e = [e.jacobian() for e in model.noise]
     s2t = np.sqrt(2.0 * model.theta)
@@ -282,21 +263,26 @@ def lyapunov(model, x0, dt, steps, rng, n_exponents=None, qr_interval=10):
             T = Q
             n_qr += 1
     total_t = n_qr * qr_interval * dt
-    return (log_r / total_t)[:n_exponents].tolist()
+    return (log_r / total_t).tolist()
 
 
-def mc_expectation(model, f, burn_in, samples, rng, dt, n_traj=16, n_batches=20):
-    """Ergodic average of f along trajectories with batch-means errors."""
-    x = ensemble_states(model, n_traj, dt, burn_in, rng)
-    values = f.evaluate(_integrate(model, x, dt, samples, rng, "heun").states[1:])
-    batches = np.array_split(values.reshape(-1), n_batches)
+def _batch_mean(values):
+    """Mean of the values and its batch-means standard error."""
+    batches = np.array_split(values.reshape(-1), _MC_BATCHES)
     means = np.array([b.mean() for b in batches])
-    stderr = float(means.std(ddof=1) / np.sqrt(n_batches))
-    return float(values.mean()), stderr
+    return (float(values.mean()),
+            float(means.std(ddof=1) / np.sqrt(_MC_BATCHES)))
 
 
-def mc_autocorrelation(model, f, lags, burn_in, samples, rng, dt,
-                       n_traj=16, n_batches=20):
+def mc_expectation(model, f, burn_in, samples, rng, dt):
+    """Ergodic average of f along trajectories with batch-means errors."""
+    x = ensemble_states(model, _MC_TRAJECTORIES, dt, burn_in, rng)
+    return _batch_mean(
+        f.evaluate(_integrate(model, x, dt, samples, rng, "heun").states[1:])
+    )
+
+
+def mc_autocorrelation(model, f, lags, burn_in, samples, rng, dt):
     """Stationary two-time averages <f(t) f(t + lag)> with batch errors.
 
     ``lags`` are in time units and must be multiples of dt.
@@ -305,28 +291,20 @@ def mc_autocorrelation(model, f, lags, burn_in, samples, rng, dt,
     if any(abs(l - s * dt) > 1e-9 for l, s in zip(lags, lag_steps)):
         raise ValueError("lags must be integer multiples of dt")
     max_lag = max(lag_steps)
-    x = ensemble_states(model, n_traj, dt, burn_in, rng)
+    x = ensemble_states(model, _MC_TRAJECTORIES, dt, burn_in, rng)
     path = _integrate(model, x, dt, samples + max_lag - 1, rng, "heun")
     values = f.evaluate(path.states)
-    out = []
-    for s in lag_steps:
-        prod = values[:samples] * values[s : s + samples]
-        batches = np.array_split(prod.reshape(-1), n_batches)
-        means = np.array([b.mean() for b in batches])
-        out.append(
-            (float(prod.mean()), float(means.std(ddof=1) / np.sqrt(n_batches)))
-        )
-    return out
+    return [_batch_mean(values[:samples] * values[s : s + samples])
+            for s in lag_steps]
 
 
-def induction_timestep_oracle(v, eta, b0, dt, steps, snapshot_stride=None,
-                              rank=6):
+def induction_timestep_oracle(v, eta, b0, dt, steps):
     """Growth rate and frequency of the induction equation by time stepping.
 
     Advances the magnetic 2-form by Strang splitting: the diffusive part
     is applied exactly in Fourier space, the advective part -L_v with a
     classical RK4 stage.  The dominant continuous-time eigenvalue is then
-    extracted from snapshots by a rank-truncated dynamic mode
+    extracted from about 400 snapshots by a rank-6 dynamic mode
     decomposition; gamma = -Re and omega = |Im| of that eigenvalue.
     """
     from .operators import lie_matrix
@@ -338,7 +316,7 @@ def induction_timestep_oracle(v, eta, b0, dt, steps, snapshot_stride=None,
     modes = layout.modes()
     k2 = np.tile((modes ** 2).sum(axis=1), 3)
     half_diffusion = np.exp(-eta * k2 * dt / 2.0)
-    stride = snapshot_stride or max(1, steps // 400)
+    stride = max(1, steps // 400)
     b = b0.coeffs.copy()
     b = b / np.linalg.norm(b)
     snap_vecs = [b.copy()]
@@ -374,7 +352,7 @@ def induction_timestep_oracle(v, eta, b0, dt, steps, snapshot_stride=None,
         axis=1,
     )
     U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    r = min(rank, int(np.sum(s > s[0] * 1e-12)))
+    r = min(6, int(np.sum(s > s[0] * 1e-12)))
     U, s, Vh = U[:, :r], s[:r], Vh[:r]
     A_red = U.conj().T @ Y @ Vh.conj().T / s
     mu = np.linalg.eigvals(A_red)

@@ -16,7 +16,6 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .exterior import (
-    OperatorBlock,
     d_matrix,
     hodge_star_inverse_matrix,
     hodge_star_matrix,
@@ -30,6 +29,11 @@ BROKEN_COMPLEX = "broken-complex"
 INDETERMINATE = "indeterminate"
 
 _DEFECTIVE_COND = 1e10
+# up to this dimension blocks are solved with eigenvectors and guarded by a
+# dense refined solve; 3-D advection-dominated blocks have unusable global
+# eigenbases and are too large to re-solve, so they get eigenvalues only
+# and a shift-invert guard
+_MAX_VECTOR_DIMENSION = 2
 
 
 @dataclass
@@ -143,29 +147,28 @@ def zero_modes(systems, tol):
     return {"counts": counts, "betti": betti, "match": counts == betti}
 
 
-def witten_index(systems, t_grid):
-    """Alternating-trace samples W(t) = sum_k (-1)^k tr exp(-t H^(k))."""
+def _trace_samples(systems, t_grid, signed):
     out = []
     for t in t_grid:
-        w = 0.0 + 0.0j
+        total = 0.0 + 0.0j
         for s in systems:
-            w += (-1) ** s.degree * np.sum(np.exp(-s.eigenvalues * t))
-        out.append(complex(w))
+            trace = np.sum(np.exp(-s.eigenvalues * t))
+            total += (-1) ** s.degree * trace if signed else trace
+        out.append(complex(total))
     return out
+
+
+def witten_index(systems, t_grid):
+    """Alternating-trace samples W(t) = sum_k (-1)^k tr exp(-t H^(k))."""
+    return _trace_samples(systems, t_grid, signed=True)
 
 
 def partition_function(systems, t_grid):
     """Unsigned-trace samples Z(t) = sum_k tr exp(-t H^(k))."""
-    out = []
-    for t in t_grid:
-        z = 0.0 + 0.0j
-        for s in systems:
-            z += np.sum(np.exp(-s.eigenvalues * t))
-        out.append(complex(z))
-    return out
+    return _trace_samples(systems, t_grid, signed=False)
 
 
-def partition_slope(systems, ground_energy, n_samples=25):
+def partition_slope(systems, ground_energy):
     """Large-t log-slope of Z(t), fitted over t in [T, 2T], T = 3/|Re E_g|.
 
     For an exponentially growing trace the slope converges to -Re of the
@@ -173,7 +176,7 @@ def partition_slope(systems, ground_energy, n_samples=25):
     """
     re = abs(ground_energy.real)
     T = 3.0 / re if re > 0 else 3.0
-    t = np.linspace(T, 2.0 * T, n_samples)
+    t = np.linspace(T, 2.0 * T, 25)
     z = np.array([abs(v) for v in partition_function(systems, t)])
     slope = np.polyfit(t, np.log(z), 1)[0]
     return float(slope), (float(T), float(2 * T))
@@ -344,10 +347,8 @@ def hilbert_metric(system, block):
     each eigenvalue with its complex conjugate (identity on real ones).
     Returns (eta, residual) with residual = ||inv(eta) H^H eta - H|| / ||H||.
     """
-    if system.near_defective:
-        raise ValueError("refusing to build a metric for a near-defective system")
-    if system.condition > _DEFECTIVE_COND:
-        raise ValueError("eigenbasis too ill-conditioned for a reliable metric")
+    if not system.has_vectors:
+        raise ValueError("refusing to build a metric without a usable eigenbasis")
     w = system.eigenvalues
     n = len(w)
     perm = np.full(n, -1, dtype=int)
@@ -371,23 +372,27 @@ def hilbert_metric(system, block):
     return eta, resid
 
 
-def targeted_eigenpair(block, sigma, n_candidates=4):
+def targeted_eigenpair(block, sigma):
     """Right and left eigenvectors of the eigenvalue nearest ``sigma``.
 
     Uses sparse shift-inverted Arnoldi on the block and its conjugate
     transpose, so it works on blocks whose global eigenbasis is too
     ill-conditioned to invert.  The left row is normalized so that
-    left @ right = 1 (bi-orthogonal convention).
+    left @ right = 1 (bi-orthogonal convention).  A target eigenvalue
+    with another Ritz value within 1e-8 relative is refused: its right
+    and left vectors are then arbitrary members of a shared eigenspace.
 
     Returns a dict with keys degree, index (-1: not tied to a dense
     solve), energy, right, left, layout.
     """
     A = block.matrix.tocsc()
     shift = complex(sigma) + 1e-7j
-    w, V = spla.eigs(A, k=n_candidates, sigma=shift, which="LM")
+    w, V = spla.eigs(A, k=4, sigma=shift, which="LM")
     j = int(np.argmin(np.abs(w - sigma)))
     lam, right = w[j], V[:, j]
-    wl, Vl = spla.eigs(A.conj().T.tocsc(), k=n_candidates,
+    if np.any(np.abs(np.delete(w, j) - lam) <= 1e-8 * max(1.0, abs(lam))):
+        raise ValueError(f"eigenvalue {complex(lam)} is degenerate")
+    wl, Vl = spla.eigs(A.conj().T.tocsc(), k=4,
                        sigma=np.conj(shift), which="LM")
     jl = int(np.argmin(np.abs(np.conj(wl) - lam)))
     left = Vl[:, jl].conj()
@@ -454,15 +459,20 @@ def response(f_field, ground, systems=None):
 
 
 def correlator(f, g, t_list, ground, systems):
-    """Two-point ground-state correlator C(t) = <g| M_f e^{-tH} M_g |g>."""
-    s = systems[ground["degree"]]
-    n = ground["index"]
-    layout = s.layout
-    k = s.degree
+    """Two-point ground-state correlator C(t) = <g| M_f e^{-tH} M_g |g>.
+
+    Sums over the whole eigenbasis of the ground degree, so ``ground``
+    must be a state of the dense solve in ``systems``.
+    """
+    if ground["index"] < 0:
+        raise ValueError(
+            "the correlator needs the full eigenbasis; a targeted eigenpair "
+            "has none"
+        )
+    psi, bra, k, layout = _ground_vectors(ground, systems)
+    s = systems[k]
     Mf = multiply_matrix(f, layout, k).matrix
     Mg = multiply_matrix(g, layout, k).matrix
-    psi = s.right[:, n]
-    bra = s.left[n]
     v = s.left @ (Mg @ psi)
     u = (bra @ Mf) @ s.right
     return [
@@ -473,25 +483,26 @@ def correlator(f, g, t_list, ground, systems):
 # -- truncation-refinement convergence ----------------------------------------
 
 
-def convergence_masks(systems, builder, tol, candidates_per_degree=None):
+def convergence_masks(systems, builder, tol):
     """Flag eigenvalues reproduced by the refined truncation N + 2.
 
-    ``builder(layout)`` must return SeoBlocks on any layout.  For D <= 2
-    the refined blocks are re-solved densely and every eigenvalue is
-    checked.  For D = 3 a full dense refined solve is too costly, so only
-    the lowest-real-part candidates per degree are checked with a
-    shift-inverted sparse eigensolver; all other eigenvalues are left
-    flagged unconverged.
+    ``builder(layout)`` must return SeoBlocks on any layout.  Layouts
+    solved with eigenvectors are re-solved densely on the refined layout
+    and every eigenvalue is checked.  A 3-D dense refined solve is too
+    costly, so there only the 12 lowest-real-part distinct eigenvalues
+    per degree are used as shifts of a sparse shift-inverted solve; the
+    4 * 12 lowest-real-part eigenvalues are checked against what it
+    finds, and all others are left flagged unconverged.
     """
     layout = systems[0].layout
-    fine = builder(layout.refined(2))
+    fine = builder(layout.refined())
+    if layout.dimension <= _MAX_VECTOR_DIMENSION:
+        return [
+            _drift_mask(s.eigenvalues, np.linalg.eigvals(fine[k].dense), tol)
+            for k, s in enumerate(systems)
+        ]
+    m = 12
     masks = []
-    if layout.dimension <= 2:
-        for k, s in enumerate(systems):
-            ref = np.linalg.eigvals(fine[k].dense)
-            masks.append(_drift_mask(s.eigenvalues, ref, tol))
-        return masks
-    m = candidates_per_degree or 12
     for k, s in enumerate(systems):
         mask = np.zeros(s.size, bool)
         order = np.argsort(s.eigenvalues.real)
@@ -503,12 +514,9 @@ def convergence_masks(systems, builder, tol, candidates_per_degree=None):
             if len(targets) >= m:
                 break
         ref = _refined_near(fine[k], targets)
-        for n in order[: 4 * m]:
-            lam = s.eigenvalues[n]
-            if len(ref) and np.min(np.abs(ref - lam)) <= tol.tol_converge * max(
-                1.0, abs(lam)
-            ):
-                mask[n] = True
+        if len(ref):
+            head = order[: 4 * m]
+            mask[head] = _drift_mask(s.eigenvalues[head], ref, tol)
         masks.append(mask)
     return masks
 
@@ -521,7 +529,7 @@ def _drift_mask(base, refined, tol):
     return mask
 
 
-def _refined_near(block, targets, k_each=6):
+def _refined_near(block, targets):
     """Refined eigenvalues near each shift, via sparse shift-invert."""
     A = block.matrix.tocsc()
     found = []
@@ -529,7 +537,7 @@ def _refined_near(block, targets, k_each=6):
         # small imaginary offset keeps the shifted matrix nonsingular
         try:
             w = spla.eigs(
-                A, k=k_each, sigma=complex(sigma) + 1e-7j,
+                A, k=6, sigma=complex(sigma) + 1e-7j,
                 which="LM", return_eigenvectors=False,
             )
             found.extend(w.tolist())
@@ -562,11 +570,6 @@ class SpectralReport:
         """JSON-serializable summary (spectra included per degree)."""
         spectra = []
         for k, s in enumerate(self.systems):
-            mask = (
-                self.converged[k]
-                if self.converged is not None
-                else np.ones(s.size, bool)
-            )
             spectra.append(
                 [
                     {
@@ -574,7 +577,7 @@ class SpectralReport:
                         "index": n,
                         "re": float(s.eigenvalues[n].real),
                         "im": float(s.eigenvalues[n].imag),
-                        "converged": bool(mask[n]),
+                        "converged": bool(self.converged[k][n]),
                     }
                     for n in range(s.size)
                 ]
@@ -599,16 +602,12 @@ class SpectralReport:
             "witten": {
                 "t": self.witten_t_grid,
                 "w": [[v.real, v.imag] for v in self.witten_samples],
-            }
-            if self.witten_samples is not None
-            else None,
+            },
             "partition": {
                 "t": self.witten_t_grid,
                 "z": [[v.real, v.imag] for v in self.partition_samples],
                 "slope": self.partition_slope,
-            }
-            if self.partition_samples is not None
-            else None,
+            },
             "classification": self.classification,
             "ground": ground,
             "near_defective": self.near_defective,
@@ -620,25 +619,25 @@ class SpectralReport:
         }
 
 
-def analyze(blocks, builder=None, tol=None, t_grid=(0.1, 1.0, 10.0),
-            check_convergence=True, candidates_per_degree=None, vectors=True):
+def analyze(blocks, builder=None, tol=None, t_grid=(0.1, 1.0, 10.0)):
     """Run the full spectral pipeline on a family of degree blocks.
 
     ``builder(layout) -> SeoBlocks`` re-assembles the same operator on a
-    refined layout for the spectral-pollution guard; when omitted the
-    convergence check is skipped and every eigenvalue is trusted.  With
-    ``vectors=False`` (recommended for 3-D advection-dominated blocks)
-    only eigenvalue-based diagnostics are produced and the pairing check
-    is limited to the even/odd multiset comparison.
+    refined layout for the spectral-pollution guard; when omitted every
+    eigenvalue is trusted.  3-D blocks are solved for eigenvalues only
+    (see ``_MAX_VECTOR_DIMENSION``), so they get eigenvalue-based
+    diagnostics and no per-state pairing check.
     """
     tol = tol or Tolerances()
+    vectors = blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
     systems = [eigensolve(b, vectors=vectors) for b in blocks]
     near_def = any(s.near_defective for s in systems)
-    converged = None
-    if check_convergence and builder is not None:
-        converged = convergence_masks(systems, builder, tol, candidates_per_degree)
+    if builder is None:
+        converged = [np.ones(s.size, bool) for s in systems]
+    else:
+        converged = convergence_masks(systems, builder, tol)
     zm = zero_modes(systems, tol)
-    if near_def or not all(s.has_vectors for s in systems):
+    if not all(s.has_vectors for s in systems):
         pairing = None
     else:
         pairing = pairing_check(systems, tol, converged, blocks=blocks)

@@ -55,7 +55,7 @@ def abc_report():
     flow = abc_field(1.0, 1.0, 1.0)
     builder = lambda lay: kd_operator(flow, ABC_ETA, lay)
     blocks = builder(BasisLayout(3, DYNAMO_N))
-    rep = analyze(blocks, builder=builder, tol=DYNAMO_TOL, vectors=False)
+    rep = analyze(blocks, builder=builder, tol=DYNAMO_TOL)
     return flow, blocks, rep
 
 
@@ -65,5 +65,5 @@ def roberts_report():
     flow = abc_field(1.0, 1.0, 0.0)
     builder = lambda lay: kd_operator(flow, ROBERTS_ETA, lay)
     blocks = builder(BasisLayout(3, DYNAMO_N))
-    rep = analyze(blocks, builder=builder, tol=DYNAMO_TOL, vectors=False)
+    rep = analyze(blocks, builder=builder, tol=DYNAMO_TOL)
     return flow, blocks, rep

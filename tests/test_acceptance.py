@@ -25,7 +25,6 @@ from sts.operators import (
     seo_time_reversed,
 )
 from sts.sde import (
-    RngSpec,
     density_bin_averages,
     ensemble_density,
     ensemble_states,
@@ -271,7 +270,8 @@ def test_criterion_07_ito_stratonovich():
     m = multiplicative_model(BasisLayout(1, 4), theta=theta, eps=eps)
     results = {}
     for scheme, own in [("euler", rho_ito), ("heun", rho_strat)]:
-        xs = ensemble_states(m, 100000, 0.02, 400, RngSpec(77).stream(0), scheme)
+        rng = np.random.default_rng([77, 0])
+        xs = ensemble_states(m, 100000, 0.02, 400, rng, scheme)
         hist = ensemble_density(xs, bins)
         results[scheme] = (
             l1_distance(hist, own),

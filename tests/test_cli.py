@@ -305,6 +305,8 @@ _OUT_OF_RANGE = [
     _case("mc-dt-negative", "mc-compare", MINIMAL, "--dt", "-0.01"),
     _case("mc-dt-nan", "mc-compare", MINIMAL, "--dt", "nan"),
     _case("dynamo-steps-0", "dynamo", _ABC, "--steps", "0"),
+    _case("out-unwritable", "spectrum", MINIMAL,
+          "--out", os.path.join(os.devnull, "out")),
 ]
 
 

@@ -1,0 +1,43 @@
+"""Every module-level import in the sts package is used by its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sts
+
+SOURCES = sorted(Path(sts.__file__).parent.glob("*.py"))
+
+
+def _imported_names(tree):
+    """(bound name, line) of each module-level import except __future__."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    """The names listed in the module's ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _exported(tree)
+    unused = [
+        f"{name} (line {line})"
+        for name, line in _imported_names(tree) if name not in used
+    ]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -8,7 +8,6 @@ from sts.config import abc_field
 from sts.layout import BasisLayout, FormVector
 from sts.operators import SdeModel, seo_blocks
 from sts.sde import (
-    RngSpec,
     default_bins,
     density_bin_averages,
     ensemble_density,
@@ -30,35 +29,26 @@ from conftest import langevin_cos_model, multiplicative_model
 TWO_PI = 2.0 * np.pi
 
 
-def test_rng_streams_reproducible_and_independent():
-    spec = RngSpec(42)
-    a = spec.stream(0).standard_normal(8)
-    b = RngSpec(42).stream(0).standard_normal(8)
-    assert np.array_equal(a, b)
-    c = spec.stream(1).standard_normal(8)
-    assert not np.array_equal(a, c)
-
-
 def test_trajectory_reruns_bit_identical():
     m = langevin_cos_model(BasisLayout(1, 4))
-    t1 = integrate_stratonovich(m, [1.0], 0.05, 50, RngSpec(3).stream(0))
-    t2 = integrate_stratonovich(m, [1.0], 0.05, 50, RngSpec(3).stream(0))
+    t1 = integrate_stratonovich(m, [1.0], 0.05, 50, np.random.default_rng([3, 0]))
+    t2 = integrate_stratonovich(m, [1.0], 0.05, 50, np.random.default_rng([3, 0]))
     assert np.array_equal(t1.states, t2.states)
 
 
 def test_step_bound_enforced():
     m = langevin_cos_model(BasisLayout(1, 4))
     with pytest.raises(ValueError):
-        integrate_stratonovich(m, [0.0], 10.0, 1, RngSpec(0).stream(0))
+        integrate_stratonovich(m, [0.0], 10.0, 1, np.random.default_rng([0, 0]))
     with pytest.raises(ValueError):
-        integrate_stratonovich(m, [0.0], -0.1, 1, RngSpec(0).stream(0))
+        integrate_stratonovich(m, [0.0], -0.1, 1, np.random.default_rng([0, 0]))
     assert max_stable_dt(m) > 0
 
 
 def test_pure_diffusion_variance():
     theta = 0.25
     m = SdeModel(BasisLayout(1, 2), FlowField.zero(1), identity_frame(1), theta)
-    rng = RngSpec(11).stream(0)
+    rng = np.random.default_rng([11, 0])
     x0 = np.full((8000, 1), np.pi)
     t, dt = 0.5, 0.05
     xs = ensemble_states(m, 8000, dt, int(t / dt), rng, x0=x0)
@@ -69,7 +59,7 @@ def test_pure_diffusion_variance():
 
 def test_deterministic_constant_drift_exact():
     m = SdeModel(BasisLayout(1, 2), FlowField.constant([0.7]), identity_frame(1), 0.0)
-    traj = integrate_stratonovich(m, [1.0], 0.05, 40, RngSpec(0).stream(0))
+    traj = integrate_stratonovich(m, [1.0], 0.05, 40, np.random.default_rng([0, 0]))
     expect = np.mod(1.0 + 0.7 * traj.times, TWO_PI)
     assert np.abs(traj.states[:, 0] - expect).max() < 1e-12
 
@@ -78,7 +68,7 @@ def test_deterministic_heun_second_order():
     m = SdeModel(
         BasisLayout(1, 2), FlowField([TrigField.sin(1, 0)]), identity_frame(1), 0.0
     )
-    rng = RngSpec(0).stream(0)
+    rng = np.random.default_rng([0, 0])
 
     def endpoint(dt):
         return integrate_stratonovich(m, [1.0], dt, int(round(2.0 / dt)), rng).states[
@@ -94,7 +84,7 @@ def test_deterministic_heun_second_order():
 def test_gibbs_stationary_histogram():
     theta = 0.5
     m = langevin_cos_model(BasisLayout(1, 4), theta=theta)
-    rng = RngSpec(5).stream(0)
+    rng = np.random.default_rng([5, 0])
     xs = ensemble_states(m, 4000, 0.05, 160, rng)
     hist = ensemble_density(xs, 32)
     assert hist.total_mass() == pytest.approx(1.0, abs=1e-12)
@@ -123,15 +113,16 @@ def test_ito_vs_stratonovich_stationary_laws():
         ("heun", strat_oracle, ito_oracle),
         ("euler", ito_oracle, strat_oracle),
     ]:
-        xs = ensemble_states(m, 6000, 0.02, 600, RngSpec(9).stream(0), scheme)
+        rng = np.random.default_rng([9, 0])
+        xs = ensemble_states(m, 6000, 0.02, 600, rng, scheme)
         hist = ensemble_density(xs, bins)
         assert l1_distance(hist, own) < 0.5 * l1_distance(hist, other)
 
 
 def test_integrate_ito_and_stratonovich_agree_for_additive_noise():
     m = langevin_cos_model(BasisLayout(1, 4))
-    a = integrate_ito(m, [2.0], 0.02, 50, RngSpec(1).stream(0)).states
-    b = integrate_stratonovich(m, [2.0], 0.02, 50, RngSpec(1).stream(0)).states
+    a = integrate_ito(m, [2.0], 0.02, 50, np.random.default_rng([1, 0])).states
+    b = integrate_stratonovich(m, [2.0], 0.02, 50, np.random.default_rng([1, 0])).states
     # same noise stream, additive noise: paths differ only at O(dt^2) drift
     assert np.abs(a - b).max() < 0.05
 
@@ -183,7 +174,7 @@ def test_lyapunov_stable_fixed_point():
     m = SdeModel(
         BasisLayout(1, 2), FlowField([TrigField.sin(1, 0)]), identity_frame(1), 0.0
     )
-    lam = lyapunov(m, [2.0], 0.02, 4000, RngSpec(2).stream(0))
+    lam = lyapunov(m, [2.0], 0.02, 4000, np.random.default_rng([2, 0]))
     assert lam[0] == pytest.approx(-1.0, abs=0.05)
 
 
@@ -191,7 +182,7 @@ def test_lyapunov_constant_flow_zero():
     m = SdeModel(
         BasisLayout(1, 2), FlowField.constant([1.0]), identity_frame(1), 0.1
     )
-    lam = lyapunov(m, [0.5], 0.05, 2000, RngSpec(2).stream(1))
+    lam = lyapunov(m, [0.5], 0.05, 2000, np.random.default_rng([2, 1]))
     assert abs(lam[0]) < 1e-10
 
 
@@ -202,13 +193,13 @@ def test_lyapunov_volume_conservation_divergence_free():
         identity_frame(2),
         0.05,
     )
-    lam = lyapunov(m, [1.0, 2.0], 0.02, 4000, RngSpec(7).stream(0))
+    lam = lyapunov(m, [1.0, 2.0], 0.02, 4000, np.random.default_rng([7, 0]))
     assert abs(sum(lam)) < 0.02
 
 
 def test_lyapunov_abc_chaotic():
     m = SdeModel(BasisLayout(3, 1), abc_field(1.0, 1.0, 1.0), identity_frame(3), 0.01)
-    lam = lyapunov(m, [0.3, 1.1, 2.7], 0.02, 6000, RngSpec(13).stream(0))
+    lam = lyapunov(m, [0.3, 1.1, 2.7], 0.02, 6000, np.random.default_rng([13, 0]))
     assert lam[0] > 0.01
     assert abs(sum(lam)) < 0.05
 
@@ -217,7 +208,7 @@ def test_mc_expectation_matches_gibbs():
     theta = 0.5
     m = langevin_cos_model(BasisLayout(1, 4), theta=theta)
     val, err = mc_expectation(
-        m, TrigField.cos(1, 0), 300, 1200, RngSpec(21).stream(0), 0.05
+        m, TrigField.cos(1, 0), 300, 1200, np.random.default_rng([21, 0]), 0.05
     )
     oracle = -iv(1, 1.0 / theta) / iv(0, 1.0 / theta)
     assert err < 0.05
@@ -229,14 +220,14 @@ def test_mc_autocorrelation_matches_operator_correlator():
     m = SdeModel(BasisLayout(1, 4), FlowField.zero(1), identity_frame(1), theta)
     lags = [0.0, 0.5, 1.0]
     got = mc_autocorrelation(
-        m, TrigField.cos(1, 0), lags, 300, 1500, RngSpec(30).stream(0), 0.05
+        m, TrigField.cos(1, 0), lags, 300, 1500, np.random.default_rng([30, 0]), 0.05
     )
     for lag, (val, err) in zip(lags, got):
         oracle = 0.5 * np.exp(-theta * lag)
         assert abs(val - oracle) < max(5.0 * err, 0.05)
     with pytest.raises(ValueError):
         mc_autocorrelation(
-            m, TrigField.cos(1, 0), [0.033], 10, 10, RngSpec(0).stream(0), 0.05
+            m, TrigField.cos(1, 0), [0.033], 10, 10, np.random.default_rng([0, 0]), 0.05
         )
 
 

@@ -6,7 +6,7 @@ from scipy.special import iv
 
 from sts.exterior import OperatorBlock, dual_pairing, multiply_matrix, pairing_row
 from sts.layout import BasisLayout, FormVector
-from sts.operators import SdeModel, seo_blocks, seo_time_reversed
+from sts.operators import SdeModel, kd_operator, seo_blocks, seo_time_reversed
 from sts.spectral import (
     BROKEN_COMPLEX,
     BROKEN_REAL,
@@ -214,6 +214,8 @@ def test_hilbert_metric_langevin():
     A = blocks[0].dense
     inter = np.abs(A.conj().T @ eta - eta @ A).max()
     assert inter < 1e-8 * np.abs(A).max() * np.abs(eta).max()
+    with pytest.raises(ValueError):
+        hilbert_metric(eigensolve(blocks[0], vectors=False), blocks[0])
 
 
 def test_gibbs_weight_toeplitz_metric_oracle():
@@ -280,8 +282,32 @@ def test_correlator_free_diffusion():
         assert abs(v - 0.5 * np.exp(-theta * t)) < 1e-12
 
 
+def test_correlator_refuses_a_targeted_eigenpair():
+    # a targeted record has no index into the dense eigenbasis
+    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
+    systems = [eigensolve(b) for b in blocks]
+    pair = targeted_eigenpair(blocks[0], 0.0)
+    with pytest.raises(ValueError):
+        correlator(TrigField.cos(1, 0), TrigField.cos(1, 0), [0.0], pair, systems)
+
+
+def test_correlator_refuses_a_vectorless_system():
+    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
+    systems = [eigensolve(b, vectors=False) for b in blocks]
+    g = ground_state(systems, TOL)
+    with pytest.raises(ValueError):
+        correlator(TrigField.cos(1, 0), TrigField.cos(1, 0), [0.0], g, systems)
+
+
 def test_targeted_eigenpair_matches_dense():
-    blocks = seo_blocks(langevin_cos_model())
+    # U = cos x + 0.25 cos 2x has no symmetry pairing up eigenvalues, so
+    # the targeted one is simple
+    m = SdeModel(
+        BasisLayout(1, 16),
+        FlowField([TrigField.sin(1, 0) + TrigField.sin(1, 0, 0.5, 2)]),
+        identity_frame(1), 0.5,
+    )
+    blocks = seo_blocks(m)
     A = blocks[0].dense
     w = np.sort(np.linalg.eigvals(A).real)
     sigma = w[3] + 0.01
@@ -290,6 +316,16 @@ def test_targeted_eigenpair_matches_dense():
     r = pair["right"]
     assert np.linalg.norm(A @ r - pair["energy"] * r) < 1e-8 * np.linalg.norm(r)
     assert abs(pair["left"] @ r - 1.0) < 1e-10
+
+
+def test_targeted_eigenpair_refuses_a_degenerate_target():
+    # every nonzero degree-0 eigenvalue of the cos-potential Langevin
+    # model is double; its left and right vectors are then arbitrary
+    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
+    w = eigensolve(blocks[0]).eigenvalues
+    assert abs(w[1] - w[2]) < 1e-12
+    with pytest.raises(ValueError):
+        targeted_eigenpair(blocks[0], w[1])
 
 
 def test_convergence_masks_flag_low_modes():
@@ -320,8 +356,10 @@ def test_analyze_langevin_report():
 
 
 def test_analyze_without_vectors_skips_pairing():
-    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
-    rep = analyze(blocks, check_convergence=False, vectors=False)
+    # 3-D blocks are solved for eigenvalues only
+    blocks = kd_operator(FlowField.zero(3), 0.5, BasisLayout(3, 1))
+    rep = analyze(blocks)
+    assert not any(s.has_vectors for s in rep.systems)
     assert rep.pairing is None
     assert rep.classification == UNBROKEN
 
