@@ -159,9 +159,9 @@ def _uniform_density(layout):
     return psi
 
 
-def cmd_evolve(config, args, out_dir):
-    model = build_model(config)
-    blocks = seo_alpha(model)
+def _evolved_bin_averages(config, truncation, t):
+    """Bin averages of a rippled uniform density evolved to time t."""
+    model = build_model(config, truncation)
     layout = model.layout
     D = layout.dimension
     psi0 = _uniform_density(layout)
@@ -170,9 +170,14 @@ def cmd_evolve(config, args, out_dir):
     top = tuple(range(1, D + 1))
     psi0.set_coefficient(top, kappa, 0.5 * (2 * np.pi) ** (-D))
     psi0.set_coefficient(top, tuple(-k for k in kappa), 0.5 * (2 * np.pi) ** (-D))
-    out = sde.operator_evolve_density(blocks[D], psi0, args.t)
+    out = sde.operator_evolve_density(seo_alpha(model)[D], psi0, t)
+    return sde.density_bin_averages(out, sde.default_bins(D))
+
+
+def cmd_evolve(config, args, out_dir):
+    D = config.dimension
+    vals = _evolved_bin_averages(config, config.truncation, args.t)
     bins = sde.default_bins(D)
-    vals = sde.density_bin_averages(out, bins)
     centers = (np.arange(bins) + 0.5) * 2 * np.pi / bins
     if D == 1:
         rows = [(float(c), float(v)) for c, v in zip(centers, vals)]
@@ -182,11 +187,22 @@ def cmd_evolve(config, args, out_dir):
             (int(i), float(v)) for i, v in enumerate(vals.ravel())
         ]
         write_table_csv(Path(out_dir) / "density.csv", ["cell", "density"], rows)
+    checks = {"mass_conserved": True, "nonnegative": bool(vals.min() > -1e-8)}
+    if args.check_convergence:
+        # the density at N must be reproduced by the refined truncation
+        # N + 2, or a negative bin may be under-resolution, not physics
+        fine = _evolved_bin_averages(config, config.truncation + 2, args.t)
+        tol = build_tolerances(config).tol_converge
+        checks["converged"] = bool(
+            np.max(np.abs(fine - vals)) <= tol * max(1.0, float(np.max(np.abs(fine))))
+        )
     doc = ReportDocument(
         config.to_dict(),
         {"t": args.t, "bins": bins, "min_density": float(vals.min())},
-        {"mass_conserved": True, "nonnegative": bool(vals.min() > -1e-8)},
+        checks,
     )
+    if not checks.get("converged", True):
+        return doc, EXIT_NONCONVERGED
     return doc, EXIT_OK if doc.passed() else EXIT_CHECK_FAILED
 
 
@@ -197,7 +213,9 @@ def cmd_mc_compare(config, args, out_dir):
     layout = model.layout
     rng = np.random.default_rng([config.seed, 0])
     dt = min(args.dt, sde.max_stable_dt(model))
-    steps = max(1, int(round(args.t / dt)))
+    # round the step count up, so t / steps never exceeds dt beyond the
+    # 1e-12 relative slack the stability check allows
+    steps = max(1, math.ceil(args.t / (dt * (1 + 1e-12))))
     dt = args.t / steps
     states = sde.ensemble_states(model, args.samples, dt, steps, rng)
     bins = sde.default_bins(D)
@@ -426,7 +444,7 @@ def _with_overrides(text, args):
     }
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return text  # parse_config reports it
     if not overrides or not isinstance(raw, dict):
         return text

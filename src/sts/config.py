@@ -40,6 +40,12 @@ _PRESET_DIMENSION = {
     "langevin-cos": 1, "langevin-double": 1, "shear-2d": 2, "abc": 3,
 }
 
+# Largest Fourier basis a config may ask for: the biggest block at the
+# refined truncation N + 2 that the convergence guard assembles, and the
+# mode count of a random field.  3 * 21**3 is the degree-1 block of 3-D
+# N = 8, refined to N = 10.
+_MAX_BASIS_SIZE = 3 * 21 ** 3
+
 # the params each preset's flow builder reads
 _PRESET_PARAMS = {
     "drift": ("c",), "langevin-double": ("a",), "abc": ("A", "B", "C"),
@@ -143,6 +149,11 @@ def _check_params(preset, params, dimension):
     for key in _PRESET_PARAMS.get(preset, ()):
         _require(key not in params or valid.get(key, _is_number)(params[key]),
                  f"invalid {preset} parameter {key} = {params.get(key)!r}")
+    if preset == "random" and "bandwidth" in params:
+        modes = (2 * params["bandwidth"] + 1) ** dimension
+        _require(modes <= _MAX_BASIS_SIZE,
+                 f"random bandwidth {params['bandwidth']} gives {modes} modes "
+                 f"in {dimension}-D, limit is {_MAX_BASIS_SIZE}")
 
 
 def parse_config(text):
@@ -153,7 +164,9 @@ def parse_config(text):
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past Python's digit limit, or nesting
+        # past the recursion limit
         raise ConfigError(f"not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be an object")
     unknown = set(raw) - _TOP_KEYS
@@ -166,6 +179,11 @@ def parse_config(text):
     truncation = raw["truncation"]
     _require(_is_int(truncation, 1),
              f"truncation must be a positive integer, got {truncation!r}")
+    refined = BasisLayout(dimension, truncation).refined()
+    largest = max(refined.size(k) for k in range(dimension + 1))
+    _require(largest <= _MAX_BASIS_SIZE,
+             f"truncation {truncation} gives a {largest}-dim block at the refined "
+             f"truncation {refined.truncation}, limit is {_MAX_BASIS_SIZE}")
     theta = raw["theta"]
     _require(_is_number(theta, 0), f"theta must be nonnegative, got {theta!r}")
     alpha = raw.get("alpha", 0.5)

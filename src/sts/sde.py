@@ -2,8 +2,10 @@
 
 Trajectories are integrated on the torus with a Heun predictor-corrector
 (Stratonovich limit) or Euler-Maruyama (Ito limit); fields along
-trajectories are evaluated by direct trigonometric summation, which is
-exact for the band-limited fields used everywhere in this package.
+trajectories are evaluated by ``TrigField.evaluate`` as real cos/sin
+sums over one half-space of wavevectors (each +-kappa pair folded once
+per field), which is exact for the band-limited fields used everywhere
+in this package.
 """
 
 from __future__ import annotations

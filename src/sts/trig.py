@@ -18,9 +18,13 @@ _REALITY_TOL = 1e-12
 
 
 class TrigField:
-    """Real trigonometric polynomial on T^D with finite Fourier support."""
+    """Real trigonometric polynomial on T^D with finite Fourier support.
 
-    __slots__ = ("dimension", "coeffs")
+    ``coeffs`` is read-only: every operation returns a new field, and
+    ``evaluate`` caches a real cos/sin fold of the coefficients.
+    """
+
+    __slots__ = ("dimension", "coeffs", "_fold")
 
     def __init__(self, dimension, coeffs, _validate=True):
         self.dimension = int(dimension)
@@ -36,6 +40,7 @@ class TrigField:
                 clean[kappa] = clean.get(kappa, 0.0) + c
         clean = {k: c for k, c in clean.items() if abs(c) > 0.0}
         self.coeffs = clean
+        self._fold = None
         if _validate:
             self._check_reality()
 
@@ -159,13 +164,33 @@ class TrigField:
         """Average over the torus (the kappa = 0 amplitude)."""
         return self.coefficient((0,) * self.dimension).real
 
+    def _folded(self):
+        """The field as mean + sum_K (a_K cos K.x + b_K sin K.x) over one
+        half-space of wavevectors, zero weights dropped.
+
+        With s_K = c_K + conj(c_{-K}), Re(c_K e^{iK.x} + c_{-K} e^{-iK.x})
+        = Re s_K cos K.x - Im s_K sin K.x for any coefficients.
+        """
+        if self._fold is None:
+            zero = (0,) * self.dimension
+            half = sorted({max(k, tuple(-j for j in k)) for k in self.coeffs} - {zero})
+            s = np.array([self.coefficient(k) + np.conj(self.coefficient([-j for j in k]))
+                          for k in half], dtype=complex)
+            K = np.array(half, dtype=float).reshape(-1, self.dimension)
+            a, b = s.real, -s.imag
+            self._fold = (self.mean(), (K[a != 0].T, a[a != 0]), (K[b != 0].T, b[b != 0]))
+        return self._fold
+
     def evaluate(self, x):
-        """Evaluate at points ``x`` of shape (..., D) by direct summation."""
+        """Evaluate at points ``x`` of shape (..., D) as real cos/sin sums."""
+        mean, (k_cos, w_cos), (k_sin, w_sin) = self._folded()
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1], dtype=complex)
-        for kappa, c in self.coeffs.items():
-            out += c * np.exp(1j * (x @ np.asarray(kappa, dtype=float)))
-        return out.real
+        out = np.full(x.shape[:-1], mean)
+        if len(w_cos):
+            out += np.cos(x @ k_cos) @ w_cos
+        if len(w_sin):
+            out += np.sin(x @ k_sin) @ w_sin
+        return out
 
     def max_abs(self):
         """Upper bound on sup|f| (sum of amplitude moduli)."""

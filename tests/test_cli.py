@@ -71,6 +71,32 @@ def test_parse_rejects_bad_documents():
             parse_config(text)
 
 
+def test_parse_refuses_oversized_bases():
+    abc = {"dimension": 3, "theta": 0.1, "flow": {"preset": "abc"}}
+    assert parse_config(json.dumps({**abc, "truncation": 8}))
+    random3 = {**abc, "truncation": 2,
+               "flow": {"preset": "random", "params": {"bandwidth": 14}}}
+    assert parse_config(json.dumps(random3))
+    too_big = [
+        {**abc, "truncation": 9},
+        {**MINIMAL, "truncation": 13890},
+        {**MINIMAL, "dimension": 2, "truncation": 57,
+         "flow": {"preset": "diffusion"}},
+        {**random3, "flow": {"preset": "random",
+                             "params": {"bandwidth": 1000000}}},
+        {**random3, "flow": {"preset": "random", "params": {"bandwidth": 15}}},
+        {**random3, "sweep": {"theta": [0.1], "parameter": "bandwidth",
+                              "values": [1, 15]}},
+    ]
+    for doc in too_big:
+        with pytest.raises(ConfigError, match="limit is 27783"):
+            parse_config(json.dumps(doc))
+    # json.loads refuses these with ValueError and RecursionError
+    for text in ['{"truncation": ' + "9" * 5000 + "}", "[" * 100000]:
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config(text)
+
+
 def test_config_round_trip_byte_identical():
     doc = {**MINIMAL, "seed": 7, "t_grid": [0.5, 5.0],
            "tolerances": {"tol_pair": 1e-7}}
@@ -205,6 +231,46 @@ def test_cli_evolve(tmp_path):
     rows = (out / "density.csv").read_text().strip().split("\n")
     assert rows[0].strip() == "x,density"
     assert len(rows) == 65
+    assert json.loads((out / "report.json").read_text())["checks"]["converged"]
+
+
+_RANDOM_2D = {
+    "dimension": 2, "truncation": 4, "theta": 0.4,
+    "flow": {"preset": "random",
+             "params": {"seed": 5, "bandwidth": 1, "amplitude": 0.5}},
+}
+
+
+@pytest.mark.parametrize("truncation", [4, 6])
+def test_cli_evolve_unresolved_density_exits_3(tmp_path, truncation):
+    # the negative bins shrink with N: under-resolution, not a physics failure
+    cfg = write_config(tmp_path, {**_RANDOM_2D, "truncation": truncation})
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["converged"] is False
+    assert report["payload"]["min_density"] < 0
+
+
+_MULT_NOISE_1D = {
+    "dimension": 1, "truncation": 12, "theta": 0.5,
+    "flow": {"preset": "langevin-cos"},
+    "noise": [[{"axis": 1, "wavevector": [0], "re": 1.0, "im": 0.0},
+               {"axis": 1, "wavevector": [1], "re": 0.15, "im": 0.0}]],
+}
+
+
+def test_cli_mc_compare_clamped_dt_stays_within_the_stability_bound(
+        tmp_path, capsys):
+    # dt clamps to 0.0606; t / dt = 16.5 rounded down to 16 steps of 0.0625
+    cfg = write_config(tmp_path, _MULT_NOISE_1D)
+    out = tmp_path / "out"
+    code = main(["mc-compare", "--config", cfg, "--out", str(out), "--t", "1",
+                 "--dt", "1", "--samples", "2000", "--l1-bound", "10"])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["payload"]["dt"] == 1 / 17
 
 
 def test_cli_mc_compare_failure_exit_code(tmp_path):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sts.trig import FlowField, TrigField, identity_frame
@@ -107,3 +107,66 @@ def test_dimension_mismatch_rejected():
         FlowField([TrigField.zero(1), TrigField.zero(2)])
     with pytest.raises(ValueError):
         TrigField(2, {(1,): 1.0})
+
+
+def _direct(f, x):
+    """Re sum_kappa c_kappa exp(i kappa.x), one complex exponential per mode."""
+    out = np.zeros(x.shape[:-1], dtype=complex)
+    for kappa, c in f.coeffs.items():
+        out += c * np.exp(1j * (x @ np.asarray(kappa, dtype=float)))
+    return out.real
+
+
+def _points(rng, D):
+    """Points of shape (D,), (n, D) and (T, n, D), some outside [0, 2pi)."""
+    return [rng.uniform(-7, 14, size=shape)
+            for shape in [(D,), (9, D), (3, 5, D)]]
+
+
+def _assert_matches_direct(f, xs):
+    for x in xs:
+        got = f.evaluate(x)
+        assert got.shape == x.shape[:-1]
+        assert np.max(np.abs(got - _direct(f, x)), initial=0.0) <= (
+            1e-12 * max(1.0, f.max_abs()))
+        assert np.array_equal(f.evaluate(x), got)
+
+
+@given(
+    D=st.integers(1, 3),
+    bandwidth=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    axis=st.integers(0, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_direct_summation(D, bandwidth, seed, axis):
+    rng = np.random.default_rng(seed)
+    f = TrigField.random(D, bandwidth, rng, amplitude=rng.uniform(0.1, 3))
+    g = TrigField.random(D, 1, rng)
+    xs = _points(rng, D)
+    for field in (f, f * g, f.diff(axis % D), (f * g).diff(axis % D)):
+        _assert_matches_direct(field, xs)
+
+
+def test_evaluate_folds_coefficients_that_are_not_conjugate():
+    f = TrigField(2, {(1, 0): 1 + 2j, (-1, 0): 0.5 - 1j, (0, 1): 3j,
+                      (2, -1): -1.5, (0, 0): 0.25 + 4j}, _validate=False)
+    xs = _points(np.random.default_rng(1), 2)
+    _assert_matches_direct(f, xs)
+    _assert_matches_direct(f * f.diff(1), xs)
+
+
+def test_evaluate_caches_its_fold():
+    f = TrigField.random(3, 2, np.random.default_rng(2))
+    x = np.random.default_rng(3).uniform(0, 2 * np.pi, size=(20, 3))
+    first = f.evaluate(x)
+    fold = f._folded()
+    assert f._folded() is fold
+    assert np.array_equal(f.evaluate(x), first)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_zero_and_constant_fields_evaluate_exactly(D):
+    for x in _points(np.random.default_rng(D), D):
+        for f in (TrigField.zero(D), TrigField.constant(D, -1.7)):
+            assert np.array_equal(f.evaluate(x), _direct(f, x))
