@@ -243,43 +243,6 @@ def hodge_star_inverse_matrix(layout, k):
     return sign * hodge_star_matrix(layout, k)
 
 
-# -- pairings ------------------------------------------------------------------
-
-
-def wedge_density(bra, ket):
-    """Top-form density bra ^ ket of complementary-degree forms.
-
-    The convolution is carried without truncation loss: the result lives on
-    a layout with doubled bandwidth 2N.
-    """
-    layout = bra.layout
-    if ket.layout != layout:
-        raise ValueError("operands live on different layouts")
-    D = layout.dimension
-    if bra.degree + ket.degree != D:
-        raise ValueError(
-            f"degrees {bra.degree} + {ket.degree} do not wedge to a top form"
-        )
-    big = BasisLayout(D, 2 * layout.truncation)
-    out = np.zeros(big.n_modes, dtype=complex)
-    N = layout.truncation
-    modes = layout.modes()
-    weights_big = (2 * big.truncation + 1) ** np.arange(D - 1, -1, -1)
-    for J in layout.multi_indices(bra.degree):
-        sign, I = complement_sign(J, D)
-        # dx^J ^ dx^I = sign(J, complement) dx^1..dx^D
-        a = bra.component(J)
-        b = ket.component(I)
-        nz_a = np.nonzero(a)[0]
-        for ia in nz_a:
-            mu = modes[ia]
-            target = ((modes + mu) + big.truncation) @ weights_big
-            np.add.at(out, target, sign * a[ia] * b)
-    top = FormVector.zero(D, big)
-    top.coeffs[:] = out
-    return top
-
-
 def integrate_top(psi):
     """Integral over T^D of a top form: (2 pi)^D times the kappa=0 amplitude."""
     D = psi.layout.dimension
@@ -287,29 +250,3 @@ def integrate_top(psi):
         raise ValueError(f"can only integrate top forms, got degree {psi.degree}")
     top_index = psi.layout.index(tuple(range(1, D + 1)), (0,) * D)
     return (2 * np.pi) ** D * psi.coeffs[top_index]
-
-
-def dual_pairing(bra, ket):
-    """The bi-orthogonal pairing integral of bra ^ ket."""
-    return integrate_top(wedge_density(bra, ket))
-
-
-def pairing_row(bra, layout):
-    """Row vector r such that r . a equals the pairing of bra with any ket.
-
-    ``bra`` has degree D-k; the row acts on degree-k coefficient vectors of
-    the same layout.
-    """
-    D = layout.dimension
-    k = D - bra.degree
-    N = layout.n_modes
-    row = np.zeros(layout.size(k), dtype=complex)
-    vol = (2 * np.pi) ** D
-    for r_in, I in enumerate(layout.multi_indices(k)):
-        signJ, J = complement_sign(I, D)
-        # bra_J(-kappa) pairs with ket_I(kappa); sign of dx^J ^ dx^I
-        sign_JI, compJ = complement_sign(J, D)
-        assert compJ == I
-        comp = bra.component(J)
-        row[r_in * N : (r_in + 1) * N] = vol * sign_JI * comp[::-1]
-    return row

@@ -46,9 +46,6 @@ class BasisLayout:
     def size(self, k):
         return comb(self.dimension, k) * self.n_modes
 
-    def total_size(self):
-        return sum(self.size(k) for k in range(self.dimension + 1))
-
     def modes(self):
         """All wavevectors as an (n_modes, D) int array, axis 1 slowest."""
         N, D = self.truncation, self.dimension
@@ -110,12 +107,3 @@ class FormVector:
 
     def coefficient(self, multi_index, kappa):
         return self.coeffs[self.layout.index(multi_index, kappa)]
-
-    def reality_defect(self):
-        """Max |a(I,-kappa) - conj(a(I,kappa))| over the basis."""
-        n = self.layout.n_modes
-        worst = 0.0
-        for rank in range(len(self.layout.multi_indices(self.degree))):
-            block = self.coeffs[rank * n : (rank + 1) * n]
-            worst = max(worst, float(np.max(np.abs(block[::-1] - np.conj(block)))))
-        return worst

@@ -10,7 +10,7 @@ in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,18 +19,6 @@ from .exterior import integrate_top
 from .layout import FormVector
 
 TWO_PI = 2.0 * np.pi
-# trajectories and batches of the Monte Carlo averages
-_MC_TRAJECTORIES = 16
-_MC_BATCHES = 20
-
-
-@dataclass
-class Trajectory:
-    """One sample path, wrapped to the fundamental domain [0, 2pi)^D."""
-
-    dt: float
-    times: np.ndarray = field(repr=False)
-    states: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -88,17 +76,22 @@ def _check_dt(model, dt):
         )
 
 
-def _integrate(model, x0, dt, steps, rng, scheme, record=True):
+def ensemble_states(model, n_traj, dt, steps, rng, scheme="heun", x0=None):
+    """Final states of n_traj independent trajectories, shape (n_traj, D).
+
+    Steps with the Heun predictor-corrector (``scheme="heun"``, which
+    converges to the Stratonovich SDE) or Euler-Maruyama (``"euler"``,
+    the Ito SDE), wrapping to [0, 2pi)^D after every step.  Paths start
+    from uniform draws, or from the rows of ``x0`` when it is given.
+    """
     _check_dt(model, dt)
-    x = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    single = np.asarray(x0).ndim == 1
+    if x0 is None:
+        x0 = rng.uniform(0.0, TWO_PI, size=(n_traj, model.dimension))
+    x = np.array(x0, dtype=float)
     M = len(model.noise)
     s2t = np.sqrt(2.0 * model.theta)
-    states = np.empty((steps + 1,) + x.shape) if record else None
-    if record:
-        states[0] = x
     for n in range(steps):
-        dw = rng.normal(0.0, np.sqrt(dt), size=x.shape[:-1] + (M,))
+        dw = rng.normal(0.0, np.sqrt(dt), size=(len(x), M))
         k1 = _increment(model, x, dt, dw, s2t)
         if scheme == "heun":
             k2 = _increment(model, x + k1, dt, dw, s2t)
@@ -108,32 +101,7 @@ def _integrate(model, x0, dt, steps, rng, scheme, record=True):
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"integration diverged at step {n}")
         x = np.mod(x, TWO_PI)
-        if record:
-            states[n + 1] = x
-    times = np.arange(steps + 1) * dt
-    if record:
-        if single:
-            states = states[:, 0, :]
-        return Trajectory(dt, times, states)
-    return x[0] if single else x
-
-
-def integrate_stratonovich(model, x0, dt, steps, rng):
-    """Heun predictor-corrector path; converges to the Stratonovich SDE."""
-    return _integrate(model, x0, dt, steps, rng, "heun")
-
-
-def integrate_ito(model, x0, dt, steps, rng):
-    """Euler-Maruyama path; converges to the Ito SDE."""
-    return _integrate(model, x0, dt, steps, rng, "euler")
-
-
-def ensemble_states(model, n_traj, dt, steps, rng, scheme="heun", x0=None):
-    """Final states of n_traj independent trajectories, shape (n_traj, D)."""
-    D = model.dimension
-    if x0 is None:
-        x0 = rng.uniform(0.0, TWO_PI, size=(n_traj, D))
-    return _integrate(model, x0, dt, steps, rng, scheme, record=False)
+    return x
 
 
 def ensemble_density(states, bins):
@@ -215,89 +183,6 @@ def l1_distance(hist, density):
     """Integrated absolute difference of a histogram and a density array
     on the histogram's grid."""
     return float(np.sum(np.abs(hist.density - density)) * hist.cell_volume)
-
-
-def lyapunov(model, x0, dt, steps, rng):
-    """Stochastic Lyapunov exponents via QR-reorthonormalized tangents.
-
-    The tangent matrix is propagated with the same Heun scheme as the
-    state, using exact symbolic Jacobians of the drift and noise fields,
-    and re-orthonormalized every 10 steps.
-    """
-    _check_dt(model, dt)
-    D = model.dimension
-    qr_interval = 10
-    jac_F = model.drift.jacobian()
-    jac_e = [e.jacobian() for e in model.noise]
-    s2t = np.sqrt(2.0 * model.theta)
-
-    def tangent_rate(x, dw):
-        # M = J_F dt + sqrt(2 theta) sum_a J_{e_a} dW_a at a single point
-        M = np.empty((D, D))
-        for i in range(D):
-            for j in range(D):
-                M[i, j] = jac_F[i][j].evaluate(x) * dt
-                for a in range(len(model.noise)):
-                    M[i, j] += s2t * jac_e[a][i][j].evaluate(x) * dw[a]
-        return M
-
-    x = np.asarray(x0, dtype=float).copy()
-    T = np.eye(D)
-    log_r = np.zeros(D)
-    n_qr = 0
-    for n in range(steps):
-        dw = rng.normal(0.0, np.sqrt(dt), size=len(model.noise))
-        k1 = _increment(model, x[None, :], dt, dw[None, :], s2t)[0]
-        M1 = tangent_rate(x, dw)
-        x_pred = x + k1
-        k2 = _increment(model, x_pred[None, :], dt, dw[None, :], s2t)[0]
-        M2 = tangent_rate(np.mod(x_pred, TWO_PI), dw)
-        x = np.mod(x + 0.5 * (k1 + k2), TWO_PI)
-        T = T + 0.5 * (M1 @ T + M2 @ (T + M1 @ T))
-        if not np.all(np.isfinite(T)):
-            raise FloatingPointError(f"tangent dynamics diverged at step {n}")
-        if (n + 1) % qr_interval == 0:
-            Q, R = np.linalg.qr(T)
-            diag = np.abs(np.diag(R))
-            if np.any(diag == 0.0):
-                raise FloatingPointError("degenerate tangent matrix")
-            log_r += np.log(diag)
-            T = Q
-            n_qr += 1
-    total_t = n_qr * qr_interval * dt
-    return (log_r / total_t).tolist()
-
-
-def _batch_mean(values):
-    """Mean of the values and its batch-means standard error."""
-    batches = np.array_split(values.reshape(-1), _MC_BATCHES)
-    means = np.array([b.mean() for b in batches])
-    return (float(values.mean()),
-            float(means.std(ddof=1) / np.sqrt(_MC_BATCHES)))
-
-
-def mc_expectation(model, f, burn_in, samples, rng, dt):
-    """Ergodic average of f along trajectories with batch-means errors."""
-    x = ensemble_states(model, _MC_TRAJECTORIES, dt, burn_in, rng)
-    return _batch_mean(
-        f.evaluate(_integrate(model, x, dt, samples, rng, "heun").states[1:])
-    )
-
-
-def mc_autocorrelation(model, f, lags, burn_in, samples, rng, dt):
-    """Stationary two-time averages <f(t) f(t + lag)> with batch errors.
-
-    ``lags`` are in time units and must be multiples of dt.
-    """
-    lag_steps = [int(round(l / dt)) for l in lags]
-    if any(abs(l - s * dt) > 1e-9 for l, s in zip(lags, lag_steps)):
-        raise ValueError("lags must be integer multiples of dt")
-    max_lag = max(lag_steps)
-    x = ensemble_states(model, _MC_TRAJECTORIES, dt, burn_in, rng)
-    path = _integrate(model, x, dt, samples + max_lag - 1, rng, "heun")
-    values = f.evaluate(path.states)
-    return [_batch_mean(values[:samples] * values[s : s + samples])
-            for s in lag_steps]
 
 
 def induction_timestep_oracle(v, eta, b0, dt, steps):

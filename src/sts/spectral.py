@@ -340,38 +340,6 @@ def adjoint_check(H_blocks, HT_blocks):
     return out
 
 
-def hilbert_metric(system, block):
-    """Possibility metric eta making the block pseudo-Hermitian.
-
-    eta = L^H P L with L the left-row matrix and P the permutation pairing
-    each eigenvalue with its complex conjugate (identity on real ones).
-    Returns (eta, residual) with residual = ||inv(eta) H^H eta - H|| / ||H||.
-    """
-    if not system.has_vectors:
-        raise ValueError("refusing to build a metric without a usable eigenbasis")
-    w = system.eigenvalues
-    n = len(w)
-    perm = np.full(n, -1, dtype=int)
-    used = np.zeros(n, bool)
-    for i in range(n):
-        if perm[i] >= 0:
-            continue
-        cand = np.where(~used)[0]
-        j = cand[int(np.argmin(np.abs(w[cand] - np.conj(w[i]))))]
-        perm[i], perm[j] = j, i
-        used[i] = used[j] = True
-    P = np.zeros((n, n))
-    P[perm, np.arange(n)] = 1.0
-    L = system.left
-    eta = L.conj().T @ P @ L
-    H = block.dense
-    resid = float(
-        np.linalg.norm(np.linalg.solve(eta, H.conj().T @ eta) - H)
-        / max(np.linalg.norm(H), 1e-300)
-    )
-    return eta, resid
-
-
 def targeted_eigenpair(block, sigma):
     """Right and left eigenvectors of the eigenvalue nearest ``sigma``.
 
@@ -456,28 +424,6 @@ def response(f_field, ground, systems=None):
             interior_matrix(f_field, layout, k).matrix @ right
         )
     return complex(left @ out)
-
-
-def correlator(f, g, t_list, ground, systems):
-    """Two-point ground-state correlator C(t) = <g| M_f e^{-tH} M_g |g>.
-
-    Sums over the whole eigenbasis of the ground degree, so ``ground``
-    must be a state of the dense solve in ``systems``.
-    """
-    if ground["index"] < 0:
-        raise ValueError(
-            "the correlator needs the full eigenbasis; a targeted eigenpair "
-            "has none"
-        )
-    psi, bra, k, layout = _ground_vectors(ground, systems)
-    s = systems[k]
-    Mf = multiply_matrix(f, layout, k).matrix
-    Mg = multiply_matrix(g, layout, k).matrix
-    v = s.left @ (Mg @ psi)
-    u = (bra @ Mf) @ s.right
-    return [
-        complex(np.sum(u * np.exp(-s.eigenvalues * t) * v)) for t in t_list
-    ]
 
 
 # -- truncation-refinement convergence ----------------------------------------

@@ -6,7 +6,7 @@ finite map from integer wavevectors to complex Fourier amplitudes,
     f(x) = sum_kappa  c_kappa  exp(i kappa . x),   c_{-kappa} = conj(c_kappa).
 
 Differentiation and multiplication are carried out exactly (no truncation),
-so drift shifts and Jacobians derived from these fields are free of
+so drift shifts and noise gradients derived from these fields are free of
 discretization error.
 """
 
@@ -250,19 +250,6 @@ class FlowField:
     def evaluate(self, x):
         """Evaluate all components at points (..., D); returns (..., D)."""
         return np.stack([c.evaluate(x) for c in self.components], axis=-1)
-
-    def jacobian(self):
-        """Exact Jacobian entries J[i][j] = d F^i / d x^j as TrigFields."""
-        return [
-            [self.components[i].diff(j) for j in range(self.dimension)]
-            for i in range(self.dimension)
-        ]
-
-    def divergence(self):
-        out = TrigField.zero(self.dimension)
-        for j in range(self.dimension):
-            out = out + self.components[j].diff(j)
-        return out
 
     def max_abs(self):
         return max(c.max_abs() for c in self.components)

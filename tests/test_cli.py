@@ -271,6 +271,7 @@ def test_cli_mc_compare_clamped_dt_stays_within_the_stability_bound(
     assert "Traceback" not in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["payload"]["dt"] == 1 / 17
+    assert report["checks"]["converged"]
 
 
 def test_cli_mc_compare_failure_exit_code(tmp_path):
@@ -283,6 +284,27 @@ def test_cli_mc_compare_failure_exit_code(tmp_path):
     assert code == 4
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]["l1_within_bound"] is False
+
+
+def test_cli_mc_compare_unresolved_density_exits_3(tmp_path):
+    # at N = 4 the operator density's bins move by 0.028 at N + 2: the L1
+    # distance would measure truncation error, so the run is not converged
+    doc = {**_RANDOM_2D, "theta": 0.3,
+           "flow": {"preset": "random",
+                    "params": {"seed": 7, "bandwidth": 1, "amplitude": 0.5}}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main(["mc-compare", "--config", cfg, "--out", str(out), "--t", "2",
+                 "--samples", "2000", "--l1-bound", "10"])
+    assert code == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"] == {"l1_within_bound": True, "converged": False}
+    code = main(["mc-compare", "--config", cfg, "--out", str(out), "--t", "2",
+                 "--samples", "2000", "--l1-bound", "10",
+                 "--no-check-convergence"])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert "converged" not in report["checks"]
 
 
 def test_cli_langevin_check(tmp_path):

@@ -1,10 +1,8 @@
-"""Trajectory integration, densities, Lyapunov exponents, MC cross-checks."""
+"""Trajectory integration, densities, operator evolution, the induction oracle."""
 
 import numpy as np
 import pytest
-from scipy.special import iv
 
-from sts.config import abc_field
 from sts.layout import BasisLayout, FormVector
 from sts.operators import SdeModel, seo_blocks
 from sts.sde import (
@@ -13,13 +11,8 @@ from sts.sde import (
     ensemble_density,
     ensemble_states,
     induction_timestep_oracle,
-    integrate_ito,
-    integrate_stratonovich,
     l1_distance,
-    lyapunov,
     max_stable_dt,
-    mc_autocorrelation,
-    mc_expectation,
     operator_evolve_density,
 )
 from sts.trig import FlowField, TrigField, identity_frame
@@ -29,19 +22,25 @@ from conftest import langevin_cos_model, multiplicative_model
 TWO_PI = 2.0 * np.pi
 
 
+def endpoint(m, x0, dt, steps, rng, scheme="heun"):
+    """Final state of the single path from x0 (one row of ensemble_states)."""
+    return ensemble_states(m, 1, dt, steps, rng, scheme, x0=[x0])[0]
+
+
 def test_trajectory_reruns_bit_identical():
     m = langevin_cos_model(BasisLayout(1, 4))
-    t1 = integrate_stratonovich(m, [1.0], 0.05, 50, np.random.default_rng([3, 0]))
-    t2 = integrate_stratonovich(m, [1.0], 0.05, 50, np.random.default_rng([3, 0]))
-    assert np.array_equal(t1.states, t2.states)
+    for steps in range(51):
+        a = endpoint(m, [1.0], 0.05, steps, np.random.default_rng([3, 0]))
+        b = endpoint(m, [1.0], 0.05, steps, np.random.default_rng([3, 0]))
+        assert np.array_equal(a, b)
 
 
 def test_step_bound_enforced():
     m = langevin_cos_model(BasisLayout(1, 4))
     with pytest.raises(ValueError):
-        integrate_stratonovich(m, [0.0], 10.0, 1, np.random.default_rng([0, 0]))
+        endpoint(m, [0.0], 10.0, 1, np.random.default_rng([0, 0]))
     with pytest.raises(ValueError):
-        integrate_stratonovich(m, [0.0], -0.1, 1, np.random.default_rng([0, 0]))
+        endpoint(m, [0.0], -0.1, 1, np.random.default_rng([0, 0]))
     assert max_stable_dt(m) > 0
 
 
@@ -59,9 +58,10 @@ def test_pure_diffusion_variance():
 
 def test_deterministic_constant_drift_exact():
     m = SdeModel(BasisLayout(1, 2), FlowField.constant([0.7]), identity_frame(1), 0.0)
-    traj = integrate_stratonovich(m, [1.0], 0.05, 40, np.random.default_rng([0, 0]))
-    expect = np.mod(1.0 + 0.7 * traj.times, TWO_PI)
-    assert np.abs(traj.states[:, 0] - expect).max() < 1e-12
+    for steps in range(41):
+        x = endpoint(m, [1.0], 0.05, steps, np.random.default_rng([0, 0]))
+        expect = np.mod(1.0 + 0.7 * (steps * 0.05), TWO_PI)
+        assert abs(x[0] - expect) < 1e-12
 
 
 def test_deterministic_heun_second_order():
@@ -70,14 +70,12 @@ def test_deterministic_heun_second_order():
     )
     rng = np.random.default_rng([0, 0])
 
-    def endpoint(dt):
-        return integrate_stratonovich(m, [1.0], dt, int(round(2.0 / dt)), rng).states[
-            -1, 0
-        ]
+    def final(dt):
+        return endpoint(m, [1.0], dt, int(round(2.0 / dt)), rng)[0]
 
-    ref = endpoint(0.0025)
-    e1 = abs(endpoint(0.04) - ref)
-    e2 = abs(endpoint(0.02) - ref)
+    ref = final(0.0025)
+    e1 = abs(final(0.04) - ref)
+    e2 = abs(final(0.02) - ref)
     assert 3.0 < e1 / e2 < 5.0
 
 
@@ -121,10 +119,11 @@ def test_ito_vs_stratonovich_stationary_laws():
 
 def test_integrate_ito_and_stratonovich_agree_for_additive_noise():
     m = langevin_cos_model(BasisLayout(1, 4))
-    a = integrate_ito(m, [2.0], 0.02, 50, np.random.default_rng([1, 0])).states
-    b = integrate_stratonovich(m, [2.0], 0.02, 50, np.random.default_rng([1, 0])).states
-    # same noise stream, additive noise: paths differ only at O(dt^2) drift
-    assert np.abs(a - b).max() < 0.05
+    for steps in range(51):
+        a = endpoint(m, [2.0], 0.02, steps, np.random.default_rng([1, 0]), "euler")
+        b = endpoint(m, [2.0], 0.02, steps, np.random.default_rng([1, 0]))
+        # same noise stream, additive noise: paths differ only at O(dt^2) drift
+        assert np.abs(a - b).max() < 0.05
 
 
 def test_operator_evolution_identity_mass_and_decay():
@@ -167,68 +166,6 @@ def test_density_bin_averages_exact():
 
 def test_default_bins():
     assert [default_bins(d) for d in (1, 2, 3)] == [64, 32, 16]
-
-
-def test_lyapunov_stable_fixed_point():
-    # F = sin x, deterministic: the attractor x = pi has multiplier -1
-    m = SdeModel(
-        BasisLayout(1, 2), FlowField([TrigField.sin(1, 0)]), identity_frame(1), 0.0
-    )
-    lam = lyapunov(m, [2.0], 0.02, 4000, np.random.default_rng([2, 0]))
-    assert lam[0] == pytest.approx(-1.0, abs=0.05)
-
-
-def test_lyapunov_constant_flow_zero():
-    m = SdeModel(
-        BasisLayout(1, 2), FlowField.constant([1.0]), identity_frame(1), 0.1
-    )
-    lam = lyapunov(m, [0.5], 0.05, 2000, np.random.default_rng([2, 1]))
-    assert abs(lam[0]) < 1e-10
-
-
-def test_lyapunov_volume_conservation_divergence_free():
-    m = SdeModel(
-        BasisLayout(2, 2),
-        FlowField([TrigField.sin(2, 1), TrigField.sin(2, 0)]),
-        identity_frame(2),
-        0.05,
-    )
-    lam = lyapunov(m, [1.0, 2.0], 0.02, 4000, np.random.default_rng([7, 0]))
-    assert abs(sum(lam)) < 0.02
-
-
-def test_lyapunov_abc_chaotic():
-    m = SdeModel(BasisLayout(3, 1), abc_field(1.0, 1.0, 1.0), identity_frame(3), 0.01)
-    lam = lyapunov(m, [0.3, 1.1, 2.7], 0.02, 6000, np.random.default_rng([13, 0]))
-    assert lam[0] > 0.01
-    assert abs(sum(lam)) < 0.05
-
-
-def test_mc_expectation_matches_gibbs():
-    theta = 0.5
-    m = langevin_cos_model(BasisLayout(1, 4), theta=theta)
-    val, err = mc_expectation(
-        m, TrigField.cos(1, 0), 300, 1200, np.random.default_rng([21, 0]), 0.05
-    )
-    oracle = -iv(1, 1.0 / theta) / iv(0, 1.0 / theta)
-    assert err < 0.05
-    assert abs(val - oracle) < max(5.0 * err, 0.05)
-
-
-def test_mc_autocorrelation_matches_operator_correlator():
-    theta = 0.7
-    m = SdeModel(BasisLayout(1, 4), FlowField.zero(1), identity_frame(1), theta)
-    lags = [0.0, 0.5, 1.0]
-    got = mc_autocorrelation(
-        m, TrigField.cos(1, 0), lags, 300, 1500, np.random.default_rng([30, 0]), 0.05
-    )
-    for lag, (val, err) in zip(lags, got):
-        oracle = 0.5 * np.exp(-theta * lag)
-        assert abs(val - oracle) < max(5.0 * err, 0.05)
-    with pytest.raises(ValueError):
-        mc_autocorrelation(
-            m, TrigField.cos(1, 0), [0.033], 10, 10, np.random.default_rng([0, 0]), 0.05
-        )
 
 
 def test_induction_oracle_zero_flow_decays_at_eta():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from sts.exterior import OperatorBlock, dual_pairing, multiply_matrix, pairing_row
-from sts.layout import BasisLayout, FormVector
+from sts.exterior import OperatorBlock
+from sts.layout import BasisLayout
 from sts.operators import SdeModel, kd_operator, seo_blocks, seo_time_reversed
 from sts.spectral import (
     BROKEN_COMPLEX,
@@ -18,12 +18,10 @@ from sts.spectral import (
     analyze,
     classify,
     convergence_masks,
-    correlator,
     eigensolve,
     expectation,
     ground_state,
     hausdorff_distance,
-    hilbert_metric,
     isospectral_check,
     pairing_check,
     partition_function,
@@ -205,19 +203,6 @@ def test_adjoint_identity():
         assert max(adjoint_check(H, HT)) < 1e-12
 
 
-def test_hilbert_metric_langevin():
-    blocks = seo_blocks(langevin_cos_model())
-    sys0 = eigensolve(blocks[0])
-    eta, resid = hilbert_metric(sys0, blocks[0])
-    assert resid < 1e-8
-    assert np.abs(eta - eta.conj().T).max() < 1e-10 * np.abs(eta).max()
-    A = blocks[0].dense
-    inter = np.abs(A.conj().T @ eta - eta @ A).max()
-    assert inter < 1e-8 * np.abs(A).max() * np.abs(eta).max()
-    with pytest.raises(ValueError):
-        hilbert_metric(eigensolve(blocks[0], vectors=False), blocks[0])
-
-
 def test_gibbs_weight_toeplitz_metric_oracle():
     # stationary density of dx = sin(x) dt + sqrt(2 theta) dW is
     # rho ~ exp(-cos(x)/theta), so the Toeplitz matrix of Fourier
@@ -246,57 +231,12 @@ def test_expectation_matches_gibbs_average():
     assert imag < 1e-10
 
 
-def test_expectation_is_the_dual_pairing():
-    # with the left row taken as the pairing row of a bra, the expectation
-    # must be the wedge-pairing integral of that bra with f times the ket
-    rng = np.random.default_rng(17)
-    lay = BasisLayout(2, 2)
-
-    def random_form(degree):
-        n = lay.size(degree)
-        return FormVector(
-            degree, lay, rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-
-    for k in range(3):
-        bra, ket = random_form(2 - k), random_form(k)
-        f = TrigField.random(2, 1, rng, 0.5)
-        ground = {"right": ket.coeffs, "left": pairing_row(bra, lay),
-                  "degree": k, "layout": lay}
-        val, imag = expectation(f, ground)
-        direct = dual_pairing(bra, multiply_matrix(f, lay, k).apply(ket))
-        scale = max(1.0, abs(direct))
-        assert abs(val - direct.real) < 1e-10 * scale
-        assert abs(imag - abs(direct.imag)) < 1e-10 * scale
-
-
-def test_correlator_free_diffusion():
-    theta = 0.7
-    lay = BasisLayout(1, 4)
-    blocks = seo_blocks(SdeModel(lay, FlowField.zero(1), identity_frame(1), theta))
-    systems = [eigensolve(b) for b in blocks]
-    g = ground_state(systems, TOL)
-    t_list = [0.0, 0.5, 2.0]
-    c = correlator(TrigField.cos(1, 0), TrigField.cos(1, 0), t_list, g, systems)
-    for t, v in zip(t_list, c):
-        assert abs(v - 0.5 * np.exp(-theta * t)) < 1e-12
-
-
-def test_correlator_refuses_a_targeted_eigenpair():
-    # a targeted record has no index into the dense eigenbasis
-    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
-    systems = [eigensolve(b) for b in blocks]
-    pair = targeted_eigenpair(blocks[0], 0.0)
-    with pytest.raises(ValueError):
-        correlator(TrigField.cos(1, 0), TrigField.cos(1, 0), [0.0], pair, systems)
-
-
-def test_correlator_refuses_a_vectorless_system():
+def test_expectation_refuses_a_vectorless_system():
     blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
     systems = [eigensolve(b, vectors=False) for b in blocks]
     g = ground_state(systems, TOL)
     with pytest.raises(ValueError):
-        correlator(TrigField.cos(1, 0), TrigField.cos(1, 0), [0.0], g, systems)
+        expectation(TrigField.cos(1, 0), g, systems)
 
 
 def test_targeted_eigenpair_matches_dense():

@@ -63,14 +63,6 @@ def test_mean_and_coefficient():
     assert f.coefficient((1,)) == 1.5
 
 
-def test_flow_jacobian_and_divergence():
-    flow = FlowField([TrigField.sin(2, 1), TrigField.cos(2, 0)])
-    jac = flow.jacobian()
-    assert (jac[0][1] - TrigField.cos(2, 1)).max_abs() < 1e-15
-    assert jac[0][0].max_abs() == 0.0
-    assert flow.divergence().max_abs() == 0.0
-
-
 def test_gradient_flow():
     U = TrigField.cos(2, 0) + TrigField.sin(2, 1)
     grad = FlowField.gradient(U)
