@@ -4,7 +4,9 @@ Dispatches spectral pipelines, Monte-Carlo cross-checks, the dynamo
 study, and parameter sweeps, and writes deterministic JSON/CSV reports.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical
-non-convergence, 4 failed physics check.
+non-convergence, 4 failed physics check.  Commands return their report;
+``main`` derives the exit code from its checks alone: a failed
+``converged`` check exits 3, any other failed check exits 4.
 """
 
 from __future__ import annotations
@@ -47,7 +49,15 @@ _WITTEN_BOUND = 1e-6
 
 
 def _threads():
-    return max(1, int(os.environ.get("STS_THREADS", "1")))
+    """Sweep worker threads: ``STS_THREADS``, a positive integer, default 1."""
+    text = os.environ.get("STS_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"STS_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def _seo_builder(config):
@@ -64,20 +74,30 @@ def _kd_builder(config):
     return build
 
 
+def _check_dynamo(config, thetas):
+    """Refuse a config the dynamo pipeline would not analyse as written:
+    the kinematic dynamo lives on T^3, has the identity noise frame, and
+    takes theta as its magnetic diffusivity, which must be positive for
+    every theta in ``thetas``."""
+    if config.dimension != 3:
+        raise ConfigError("the dynamo pipeline requires dimension 3")
+    if config.noise != "identity":
+        raise ConfigError("the dynamo pipeline assumes the identity noise frame")
+    for theta in thetas:
+        if theta <= 0:
+            raise ConfigError(
+                f"the dynamo pipeline needs theta > 0 (the magnetic "
+                f"diffusivity), got {theta!r}")
+
+
 def run_pipeline(config, check_convergence=True, dynamo=False):
     """Assemble, eigensolve and post-process one operator family."""
-    tol = build_tolerances(config)
-    if dynamo:
-        if config.dimension != 3:
-            raise ConfigError("the dynamo pipeline requires dimension 3")
-        builder = _kd_builder(config)
-    else:
-        builder = _seo_builder(config)
+    builder = _kd_builder(config) if dynamo else _seo_builder(config)
     blocks = builder(BasisLayout(config.dimension, config.truncation))
     rep = spectral.analyze(
         blocks,
         builder=builder if check_convergence else None,
-        tol=tol,
+        tol=build_tolerances(config),
         t_grid=config.t_grid,
     )
     if config.theta == 0 and not check_convergence:
@@ -108,47 +128,34 @@ def _base_outputs(config, rep, out_dir, extra_payload=None, checks=None):
 def cmd_spectrum(config, args, out_dir):
     _, rep = run_pipeline(config, args.check_convergence)
     ok = rep.classification != spectral.INDETERMINATE
-    doc = _base_outputs(config, rep, out_dir, checks={"converged": ok})
-    return doc, EXIT_OK if ok else EXIT_NONCONVERGED
+    return _base_outputs(config, rep, out_dir, checks={"converged": ok})
 
 
 def cmd_witten(config, args, out_dir):
     _, rep = run_pipeline(config, args.check_convergence)
-    worst = max(abs(complex(*w)) for w in
-                [(v.real, v.imag) for v in rep.witten_samples])
-    ok = worst <= _WITTEN_BOUND
-    doc = _base_outputs(
+    worst = max(abs(v) for v in rep.witten_samples)
+    return _base_outputs(
         config, rep, out_dir,
         extra_payload={"witten_max_abs": worst},
-        checks={"witten_zero": ok},
+        checks={"witten_zero": worst <= _WITTEN_BOUND},
     )
-    return doc, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_pair(config, args, out_dir):
-    blocks, rep = run_pipeline(config, args.check_convergence)
-    tol = build_tolerances(config)
-    if rep.pairing is not None:
-        ok = (
-            not rep.pairing["violations"]
-            and rep.pairing["even_odd_distance"] <= tol.tol_pair
-        )
-        detail = {
-            "pairs": len(rep.pairing["partners"]),
-            "violations": len(rep.pairing["violations"]),
-            "even_odd_distance": rep.pairing["even_odd_distance"],
-        }
-    else:
-        # vectorless path (3-D): only the even/odd multiset comparison
-        dist = spectral.even_odd_distance(
-            rep.systems, spectral.zero_threshold(rep.systems, tol)
-        )
-        ok = dist <= tol.tol_pair
-        detail = {"pairs": None, "violations": None, "even_odd_distance": dist}
-    doc = _base_outputs(config, rep, out_dir,
-                        extra_payload={"pairing_detail": detail},
-                        checks={"pairing": ok})
-    return doc, EXIT_OK if ok else EXIT_CHECK_FAILED
+    _, rep = run_pipeline(config, args.check_convergence)
+    pairing = rep.pairing
+    # vectorless systems (3-D) get only the even/odd multiset comparison
+    per_state = pairing["violations"] is not None
+    detail = {
+        "pairs": len(pairing["partners"]) if per_state else None,
+        "violations": len(pairing["violations"]) if per_state else None,
+        "even_odd_distance": pairing["even_odd_distance"],
+    }
+    ok = (not pairing["violations"]
+          and pairing["even_odd_distance"] <= rep.tolerances.tol_pair)
+    return _base_outputs(config, rep, out_dir,
+                         extra_payload={"pairing_detail": detail},
+                         checks={"pairing": ok})
 
 
 def _uniform_density(layout):
@@ -183,7 +190,8 @@ def _refinement_agrees(config, t, initial, vals):
     """Whether the refined truncation N + 2 reproduces the bin averages
     ``vals`` at N; if not, a failed check may be under-resolution, not
     physics."""
-    fine = _evolved_bin_averages(config, config.truncation + 2, t, initial)
+    refined = BasisLayout(config.dimension, config.truncation).refined()
+    fine = _evolved_bin_averages(config, refined.truncation, t, initial)
     tol = build_tolerances(config).tol_converge
     return bool(
         np.max(np.abs(fine - vals)) <= tol * max(1.0, float(np.max(np.abs(fine))))
@@ -207,14 +215,11 @@ def cmd_evolve(config, args, out_dir):
     if args.check_convergence:
         checks["converged"] = _refinement_agrees(
             config, args.t, _rippled_density, vals)
-    doc = ReportDocument(
+    return ReportDocument(
         config.to_dict(),
         {"t": args.t, "bins": bins, "min_density": float(vals.min())},
         checks,
     )
-    if not checks.get("converged", True):
-        return doc, EXIT_NONCONVERGED
-    return doc, EXIT_OK if doc.passed() else EXIT_CHECK_FAILED
 
 
 def cmd_mc_compare(config, args, out_dir):
@@ -235,7 +240,7 @@ def cmd_mc_compare(config, args, out_dir):
     if D == 1:
         rows = [
             (float(c), float(h), float(r))
-            for c, h, r in zip(centers, hist.density, ref)
+            for c, h, r in zip(centers, hist, ref)
         ]
         write_table_csv(Path(out_dir) / "densities.csv",
                         ["x", "monte_carlo", "operator"], rows)
@@ -243,22 +248,17 @@ def cmd_mc_compare(config, args, out_dir):
     if args.check_convergence:
         checks["converged"] = _refinement_agrees(
             config, args.t, _uniform_density, ref)
-    doc = ReportDocument(
+    return ReportDocument(
         config.to_dict(),
         {"t": args.t, "samples": args.samples, "dt": dt, "l1_distance": l1},
         checks,
     )
-    if not checks.get("converged", True):
-        return doc, EXIT_NONCONVERGED
-    return doc, EXIT_OK if doc.passed() else EXIT_CHECK_FAILED
 
 
 def cmd_dynamo(config, args, out_dir):
+    _check_dynamo(config, [config.theta])
     blocks, rep = run_pipeline(config, args.check_convergence, dynamo=True)
-    if rep.classification == spectral.INDETERMINATE:
-        doc = _base_outputs(config, rep, out_dir, checks={"converged": False})
-        return doc, EXIT_NONCONVERGED
-    checks = {"converged": True}
+    checks = {"converged": rep.classification != spectral.INDETERMINATE}
     extra = {}
     if rep.classification in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):
         flow = build_flow(config)
@@ -281,8 +281,7 @@ def cmd_dynamo(config, args, out_dir):
             "oracle": {"gamma": gamma, "omega": omega},
             "eigensolve": {"gamma": gamma_eig, "omega": omega_eig},
         }
-    doc = _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
-    return doc, EXIT_OK if doc.passed() else EXIT_CHECK_FAILED
+    return _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
 
 
 def cmd_langevin_check(config, args, out_dir):
@@ -331,8 +330,7 @@ def cmd_langevin_check(config, args, out_dir):
             "converged_counts": [int(len(v)) for v in h_conv],
         }
     }
-    doc = _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
-    return doc, EXIT_OK if doc.passed() else EXIT_CHECK_FAILED
+    return _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
 
 
 def _sweep_cell(config, theta, value, dynamo):
@@ -356,6 +354,8 @@ def cmd_sweep(config, args, out_dir):
     if config.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
     dynamo = args.dynamo
+    if dynamo:
+        _check_dynamo(config, config.sweep["theta"])
     cells = [
         (theta, value)
         for theta in config.sweep["theta"]
@@ -374,10 +374,9 @@ def cmd_sweep(config, args, out_dir):
     counts = {}
     for r in rows:
         counts[r[2]] = counts.get(r[2], 0) + 1
-    doc = ReportDocument(
+    return ReportDocument(
         config.to_dict(), {"cells": len(rows), "classifications": counts}, {}
     )
-    return doc, EXIT_OK
 
 
 _COMMANDS = {
@@ -426,10 +425,11 @@ def _build_parser():
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--t-grid", type=float_list, default=None)
-        p.add_argument(
-            "--check-convergence", action=argparse.BooleanOptionalAction,
-            default=True,
-        )
+        if name not in ("langevin-check", "sweep"):  # both always guard
+            p.add_argument(
+                "--check-convergence", action=argparse.BooleanOptionalAction,
+                default=True,
+            )
         if name == "evolve":
             p.add_argument("--t", type=_number(float, False), default=1.0)
         if name == "mc-compare":
@@ -480,7 +480,7 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}") from exc
-        doc, code = _COMMANDS[args.command](config, args, out_dir)
+        doc = _COMMANDS[args.command](config, args, out_dir)
     except ConfigError as exc:
         print(f"sts: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -492,7 +492,9 @@ def main(argv=None):
     failed = [name for name, ok in doc.checks.items() if not ok]
     status = "ok" if not failed else f"FAILED: {', '.join(failed)}"
     print(f"sts {args.command}: {status} ({path})")
-    return code
+    if "converged" in failed:
+        return EXIT_NONCONVERGED
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,20 +70,9 @@ class ModelConfig:
     sweep: dict = None
 
     def to_dict(self):
-        out = {
-            "dimension": self.dimension,
-            "truncation": self.truncation,
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "flow": self.flow,
-            "noise": self.noise,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-            "t_grid": self.t_grid,
-            "output": self.output,
-        }
-        if self.sweep is not None:
-            out["sweep"] = self.sweep
+        out = asdict(self)
+        if self.sweep is None:
+            del out["sweep"]
         return out
 
     def to_json(self):
@@ -290,20 +279,19 @@ def abc_field(A, B, C):
 
 
 def build_flow(config):
-    """Materialize the drift FlowField from a validated config."""
+    """Materialize the drift FlowField from a validated config; a
+    Langevin preset's drift is -grad of its :func:`build_potential`."""
     D = config.dimension
     preset = config.flow["preset"]
     params = config.flow["params"]
+    potential = build_potential(config)
+    if potential is not None:
+        return FlowField.gradient(-potential)
     if preset == "diffusion":
         return FlowField.zero(D)
     if preset == "drift":
         c = params.get("c", [1.0] * D)
         return FlowField.constant([float(v) for v in c])
-    if preset == "langevin-cos":
-        return FlowField([TrigField.sin(1, 0)])
-    if preset == "langevin-double":
-        a = float(params.get("a", 0.3))
-        return FlowField([TrigField.sin(1, 0) + TrigField.sin(1, 0, 2 * a, 2)])
     if preset == "shear-2d":
         return FlowField([TrigField.sin(2, 1), TrigField.zero(2)])
     if preset == "abc":

@@ -27,9 +27,6 @@ class ReportDocument:
     checks: dict = field(default_factory=dict)
     timing: float = 0.0
 
-    def passed(self):
-        return all(self.checks.values())
-
     def to_dict(self):
         return {
             "version": __version__,

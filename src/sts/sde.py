@@ -10,8 +10,6 @@ in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -19,31 +17,6 @@ from .exterior import integrate_top
 from .layout import FormVector
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass
-class EnsembleDensity:
-    """Normalized histogram density over a regular grid on the torus."""
-
-    counts: np.ndarray
-    samples: int
-    bins: int
-
-    def __post_init__(self):
-        if self.samples <= 0:
-            raise ValueError("empty ensemble")
-
-    @property
-    def cell_volume(self):
-        D = self.counts.ndim
-        return (TWO_PI / self.bins) ** D
-
-    @property
-    def density(self):
-        return self.counts / (self.samples * self.cell_volume)
-
-    def total_mass(self):
-        return float(self.density.sum() * self.cell_volume)
 
 
 def _increment(model, x, dt, dw, sqrt2theta):
@@ -104,15 +77,21 @@ def ensemble_states(model, n_traj, dt, steps, rng, scheme="heun", x0=None):
     return x
 
 
+def _cell_volume(density):
+    """Volume of one cell of a density array's regular grid on the torus."""
+    return (TWO_PI / density.shape[0]) ** density.ndim
+
+
 def ensemble_density(states, bins):
-    """Histogram density of an ensemble of states on the torus."""
+    """Normalized histogram density of an ensemble of states on the torus,
+    an array of shape (bins,) * D."""
     states = np.atleast_2d(states)
     if len(states) < 1:
         raise ValueError("empty ensemble")
     D = states.shape[-1]
     edges = [np.linspace(0.0, TWO_PI, bins + 1)] * D
     counts, _ = np.histogramdd(states, bins=edges)
-    return EnsembleDensity(counts, len(states), bins)
+    return counts / (len(states) * _cell_volume(counts))
 
 
 def default_bins(dimension):
@@ -180,9 +159,9 @@ def density_bin_averages(psi, bins):
 
 
 def l1_distance(hist, density):
-    """Integrated absolute difference of a histogram and a density array
-    on the histogram's grid."""
-    return float(np.sum(np.abs(hist.density - density)) * hist.cell_volume)
+    """Integrated absolute difference of a histogram density and a density
+    array on the histogram's grid."""
+    return float(np.sum(np.abs(hist - density)) * _cell_volume(hist))
 
 
 def induction_timestep_oracle(v, eta, b0, dt, steps):

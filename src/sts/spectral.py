@@ -8,7 +8,7 @@ evaluates ground-state observables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 import numpy as np
@@ -61,6 +61,8 @@ class EigenSystem:
     Right vectors are the columns of ``right``; the matching left rows
     (rows of ``left``) satisfy left @ right = identity, so the row
     left[n] is the coefficient functional of the dual bra of state n.
+    ``converged[n]`` says whether eigenvalue n is certified by the
+    truncation-refinement guard; every eigenvalue is trusted by default.
     """
 
     degree: int
@@ -71,6 +73,11 @@ class EigenSystem:
     residual: float = 0.0
     condition: float = 1.0
     near_defective: bool = False
+    converged: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.converged is None:
+            self.converged = np.ones(len(self.eigenvalues), bool)
 
     @property
     def size(self):
@@ -182,27 +189,36 @@ def partition_slope(systems, ground_energy):
     return float(slope), (float(T), float(2 * T))
 
 
-def pairing_check(systems, tol, converged=None, *, blocks):
-    """Verify the boson-fermion pairing of all nonzero eigenvalues.
+def pairing_check(systems, tol, *, blocks):
+    """Verify the boson-fermion pairing of all certified nonzero eigenvalues.
 
     For each state with dpsi appreciably nonzero, dpsi must be an
     eigenvector of the next block of ``blocks`` (the operator the
     ``systems`` were solved from) with the same eigenvalue; otherwise a
     matching eigenvalue must exist one degree down.  Also compares the
     nonzero even- and odd-degree spectra as multisets.  Returns a dict
-    with per-state partner records and a list of violations.
+    with per-state partner records and a list of violations; both are
+    None when some system has no usable vectors, and then only the
+    multiset comparison is made.
     """
+    thr = zero_threshold(systems, tol)
+    out = {
+        "partners": None,
+        "violations": None,
+        "even_odd_distance": even_odd_distance(systems, thr),
+        "threshold": thr,
+    }
+    if not all(s.has_vectors for s in systems):
+        return out
     layout = systems[0].layout
     D = layout.dimension
-    thr = zero_threshold(systems, tol)
     d_mats = [d_matrix(layout, k).matrix for k in range(D)]
     partners = []
     violations = []
     for k, s in enumerate(systems):
-        mask = converged[k] if converged is not None else np.ones(s.size, bool)
         for n in range(s.size):
             lam = s.eigenvalues[n]
-            if abs(lam) <= thr or not mask[n]:
+            if abs(lam) <= thr or not s.converged[n]:
                 continue
             psi = s.right[:, n]
             if k < D:
@@ -226,12 +242,7 @@ def pairing_check(systems, tol, converged=None, *, blocks):
                     partners.append((k, n, k - 1, gap))
                 else:
                     violations.append((k, n, "no partner one degree down", gap))
-    return {
-        "partners": partners,
-        "violations": violations,
-        "even_odd_distance": even_odd_distance(systems, thr),
-        "threshold": thr,
-    }
+    return {**out, "partners": partners, "violations": violations}
 
 
 def even_odd_distance(systems, thr):
@@ -259,25 +270,18 @@ def hausdorff_distance(a, b):
     return float(max(d_ab, d_ba))
 
 
-def classify(systems, tol, converged=None):
+def classify(systems, tol):
     """Spectrum-type classification of the evolution operator.
 
-    Returns one of "unbroken", "broken-real", "broken-complex" based on
-    the converged eigenvalue with the most negative real part, or
-    "indeterminate" if that eigenvalue failed the refinement check.
+    Returns one of "unbroken", "broken-real", "broken-complex" from the
+    energy of the :func:`ground_state`, or "indeterminate" when no
+    eigenvalue is certified or a complex ground energy has no conjugate
+    partner.
     """
-    thr = zero_threshold(systems, tol)
-    best = None
-    for k, s in enumerate(systems):
-        mask = converged[k] if converged is not None else np.ones(s.size, bool)
-        for n in range(s.size):
-            lam = s.eigenvalues[n]
-            if not mask[n]:
-                continue
-            if best is None or lam.real < best.real:
-                best = lam
-    if best is None:
+    if not any(s.converged.any() for s in systems):
         return INDETERMINATE
+    best = ground_state(systems, tol)["energy"]
+    thr = zero_threshold(systems, tol)
     if best.real >= -thr:
         return UNBROKEN
     if abs(best.imag) <= thr:
@@ -291,17 +295,15 @@ def classify(systems, tol, converged=None):
     return BROKEN_COMPLEX
 
 
-def ground_state(systems, tol, converged=None):
-    """Select the ground state: min Re, then min |Im|, preferring the
-    negative-imaginary member of a resonance pair, then max degree, then
-    basis index."""
+def ground_state(systems, tol):
+    """Select the ground state among the certified eigenvalues: min Re,
+    then min |Im|, preferring the negative-imaginary member of a
+    resonance pair, then max degree, then basis index."""
     thr = zero_threshold(systems, tol)
-    candidates = []
-    for k, s in enumerate(systems):
-        mask = converged[k] if converged is not None else np.ones(s.size, bool)
-        for n in range(s.size):
-            if mask[n]:
-                candidates.append((k, n, s.eigenvalues[n]))
+    candidates = [
+        (k, n, s.eigenvalues[n])
+        for k, s in enumerate(systems) for n in range(s.size) if s.converged[n]
+    ]
     if not candidates:
         raise ValueError("no converged eigenvalues to select a ground state from")
     min_re = min(c[2].real for c in candidates)
@@ -508,7 +510,6 @@ class SpectralReport:
     partition_slope: float = None
     classification: str = INDETERMINATE
     ground: dict = None
-    converged: list = field(repr=False, default=None)
     tolerances: Tolerances = None
     near_defective: bool = False
 
@@ -523,11 +524,12 @@ class SpectralReport:
                         "index": n,
                         "re": float(s.eigenvalues[n].real),
                         "im": float(s.eigenvalues[n].imag),
-                        "converged": bool(self.converged[k][n]),
+                        "converged": bool(s.converged[n]),
                     }
                     for n in range(s.size)
                 ]
             )
+        violations = self.pairing["violations"]
         ground = None
         if self.ground is not None:
             ground = {
@@ -539,12 +541,8 @@ class SpectralReport:
         return {
             "spectra": spectra,
             "zero_modes": self.zero_mode_summary,
-            "pairing_violations": len(self.pairing["violations"])
-            if self.pairing
-            else None,
-            "even_odd_distance": self.pairing["even_odd_distance"]
-            if self.pairing
-            else None,
+            "pairing_violations": None if violations is None else len(violations),
+            "even_odd_distance": self.pairing["even_odd_distance"],
             "witten": {
                 "t": self.witten_t_grid,
                 "w": [[v.real, v.imag] for v in self.witten_samples],
@@ -557,11 +555,7 @@ class SpectralReport:
             "classification": self.classification,
             "ground": ground,
             "near_defective": self.near_defective,
-            "tolerances": {
-                "tol_zero": self.tolerances.tol_zero,
-                "tol_pair": self.tolerances.tol_pair,
-                "tol_converge": self.tolerances.tol_converge,
-            },
+            "tolerances": asdict(self.tolerances),
         }
 
 
@@ -577,36 +571,26 @@ def analyze(blocks, builder=None, tol=None, t_grid=(0.1, 1.0, 10.0)):
     tol = tol or Tolerances()
     vectors = blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
     systems = [eigensolve(b, vectors=vectors) for b in blocks]
-    near_def = any(s.near_defective for s in systems)
-    if builder is None:
-        converged = [np.ones(s.size, bool) for s in systems]
-    else:
-        converged = convergence_masks(systems, builder, tol)
-    zm = zero_modes(systems, tol)
-    if not all(s.has_vectors for s in systems):
-        pairing = None
-    else:
-        pairing = pairing_check(systems, tol, converged, blocks=blocks)
-    w = witten_index(systems, t_grid)
-    z = partition_function(systems, t_grid)
-    label = classify(systems, tol, converged)
+    if builder is not None:
+        for s, mask in zip(systems, convergence_masks(systems, builder, tol)):
+            s.converged = mask
+    label = classify(systems, tol)
     ground = None
     slope = None
     if label != INDETERMINATE:
-        ground = ground_state(systems, tol, converged)
+        ground = ground_state(systems, tol)
         if label in (BROKEN_REAL, BROKEN_COMPLEX):
             slope, _ = partition_slope(systems, ground["energy"])
     return SpectralReport(
         systems=systems,
-        zero_mode_summary=zm,
-        pairing=pairing,
-        witten_samples=w,
+        zero_mode_summary=zero_modes(systems, tol),
+        pairing=pairing_check(systems, tol, blocks=blocks),
+        witten_samples=witten_index(systems, t_grid),
         witten_t_grid=list(t_grid),
-        partition_samples=z,
+        partition_samples=partition_function(systems, t_grid),
         partition_slope=slope,
         classification=label,
         ground=ground,
-        converged=converged,
         tolerances=tol,
-        near_defective=near_def,
+        near_defective=any(s.near_defective for s in systems),
     )

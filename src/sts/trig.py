@@ -153,10 +153,6 @@ class TrigField:
 
     __rmul__ = __mul__
 
-    def bandwidth(self):
-        """Largest |kappa_j| over the support, 0 for the zero field."""
-        return max((max(abs(k) for k in kappa) for kappa in self.coeffs), default=0)
-
     def coefficient(self, kappa):
         return self.coeffs.get(tuple(kappa), 0.0 + 0.0j)
 
@@ -243,9 +239,6 @@ class FlowField:
 
     def __neg__(self):
         return FlowField([-c for c in self.components])
-
-    def bandwidth(self):
-        return max(c.bandwidth() for c in self.components)
 
     def evaluate(self, x):
         """Evaluate all components at points (..., D); returns (..., D)."""

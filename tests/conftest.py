@@ -5,7 +5,7 @@ import pytest
 
 from sts.config import abc_field
 from sts.layout import BasisLayout
-from sts.operators import SdeModel, kd_operator, seo_blocks
+from sts.operators import SdeModel, kd_operator
 from sts.spectral import Tolerances, analyze
 from sts.trig import FlowField, TrigField, identity_frame
 

@@ -9,10 +9,9 @@ import json
 from math import comb
 
 import numpy as np
-import pytest
 
 from sts.cli import main
-from sts.config import abc_field, build_model, parse_config
+from sts.config import abc_field
 from sts.exterior import codifferential_matrix, d_matrix, hodge_star_matrix
 from sts.layout import BasisLayout, FormVector
 from sts.operators import (
@@ -39,7 +38,6 @@ from sts.spectral import (
     adjoint_check,
     eigensolve,
     ground_state,
-    hausdorff_distance,
     isospectral_check,
     pairing_check,
     response,

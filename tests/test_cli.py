@@ -361,11 +361,14 @@ _SWEEP = {"theta": [0.3], "parameter": "seed", "values": [1, 2]}
 _ABC = {"dimension": 3, "truncation": 1, "theta": 0.1, "flow": {"preset": "abc"}}
 
 
-def _case(name, command, doc, *flags):
-    return pytest.param(command, doc, list(flags), id=name)
+def _case(name, command, doc, *flags, env=None):
+    return pytest.param(command, doc, list(flags), env or {}, id=name)
 
 
-# each case has one value out of range, in a flag or in the config
+_RANDOM_SWEEP = {**MINIMAL, "flow": {"preset": "random"}, "sweep": _SWEEP}
+
+# each case has one value out of range, in a flag, the config or the
+# environment
 _OUT_OF_RANGE = [
     _case("truncation-0", "spectrum", MINIMAL, "--truncation", "0"),
     _case("theta-negative", "spectrum", MINIMAL, "--theta", "-1"),
@@ -393,13 +396,34 @@ _OUT_OF_RANGE = [
     _case("mc-dt-negative", "mc-compare", MINIMAL, "--dt", "-0.01"),
     _case("mc-dt-nan", "mc-compare", MINIMAL, "--dt", "nan"),
     _case("dynamo-steps-0", "dynamo", _ABC, "--steps", "0"),
+    # theta is the dynamo's magnetic diffusivity, and its noise is fixed
+    _case("dynamo-theta-0", "dynamo", {**_ABC, "theta": 0}),
+    _case("dynamo-theta-0-override", "dynamo", _ABC, "--theta", "0"),
+    _case("dynamo-noise", "dynamo",
+          {**_ABC, "noise": [[{**_NOISE_MODE, "wavevector": [1, 0, 0]}]]}),
+    _case("sweep-dynamo-theta-0", "sweep",
+          {**_ABC, "sweep": {"theta": [0.1, 0], "parameter": "C",
+                             "values": [1.0]}}, "--dynamo"),
+    # neither command reads the flag
+    _case("sweep-no-check-convergence", "sweep", _RANDOM_SWEEP,
+          "--no-check-convergence"),
+    _case("langevin-check-no-check-convergence", "langevin-check", MINIMAL,
+          "--no-check-convergence"),
+    _case("sts-threads-text", "sweep", _RANDOM_SWEEP,
+          env={"STS_THREADS": "abc"}),
+    _case("sts-threads-0", "sweep", _RANDOM_SWEEP, env={"STS_THREADS": "0"}),
+    _case("sts-threads-fraction", "sweep", _RANDOM_SWEEP,
+          env={"STS_THREADS": "1.5"}),
     _case("out-unwritable", "spectrum", MINIMAL,
           "--out", os.path.join(os.devnull, "out")),
 ]
 
 
-@pytest.mark.parametrize("command,doc,flags", _OUT_OF_RANGE)
-def test_out_of_range_input_exits_2(tmp_path, capsys, command, doc, flags):
+@pytest.mark.parametrize("command,doc,flags,env", _OUT_OF_RANGE)
+def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch, command,
+                                    doc, flags, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
     cfg = write_config(tmp_path, doc)
     try:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),

@@ -1,4 +1,5 @@
-"""Every module-level import in the sts package is used by its module."""
+"""Every module-level import in the sts package and its tests is used by
+its module."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import sts
 
-SOURCES = sorted(Path(sts.__file__).parent.glob("*.py"))
+SOURCES = (sorted(Path(sts.__file__).parent.glob("*.py"))
+           + sorted(Path(__file__).parent.glob("*.py")))
 
 
 def _imported_names(tree):

@@ -61,6 +61,21 @@ def test_eigensolve_diagonal():
     assert np.allclose(sys.right.max(axis=0), 1.0)
 
 
+def test_eigensolve_falls_back_to_schur_on_a_jordan_block():
+    import scipy.sparse as sp
+
+    layout = BasisLayout(1, 1)
+    jordan = np.array([[1, 1, 0], [0, 1, 0], [0, 0, -1]], complex)
+    blocks = [OperatorBlock(0, 0, layout, sp.csr_matrix(jordan)),
+              OperatorBlock(1, 1, layout, sp.diags([2.0 + 0j, -1.0, 1.0]).tocsr())]
+    sys = eigensolve(blocks[0])
+    assert sys.near_defective and not sys.has_vectors
+    assert np.allclose(sys.eigenvalues, [-1, 1, 1])  # sorted by (Re, Im)
+    rep = analyze(blocks)
+    assert rep.near_defective
+    assert rep.pairing["violations"] is None
+
+
 def test_eigensolve_reconstructs_random_matrix():
     rng = np.random.default_rng(7)
     import scipy.sparse as sp
@@ -160,9 +175,18 @@ def test_classify_broken_complex_needs_conjugate_partner():
 
 def test_classify_uses_converged_eigenvalues_only():
     systems = [fake_system([-0.5, 0.0, 1.0])]
-    masks = [np.array([False, True, True])]
-    assert classify(systems, TOL, masks) == UNBROKEN
-    assert classify(systems, TOL, [np.zeros(3, bool)]) == INDETERMINATE
+    systems[0].converged = np.array([False, True, True])
+    assert classify(systems, TOL) == UNBROKEN
+    systems[0].converged = np.zeros(3, bool)
+    assert classify(systems, TOL) == INDETERMINATE
+
+
+def test_classification_agrees_with_the_ground_state():
+    # -1 - 1e-9 +- 0.5i lies within the zero threshold of -1 in real part,
+    # so the ground state is the real -1 and the verdict is broken-real
+    systems = [fake_system([-1.0 - 1e-9 + 0.5j, -1.0 - 1e-9 - 0.5j, -1.0, 0.0, 1.0])]
+    assert ground_state(systems, TOL)["energy"] == -1.0
+    assert classify(systems, TOL) == BROKEN_REAL
 
 
 def test_ground_state_tie_breaking():
@@ -183,8 +207,9 @@ def test_ground_state_tie_breaking():
 
 def test_ground_state_needs_candidates():
     systems = [fake_system([0.0, 1.0])]
+    systems[0].converged[:] = False
     with pytest.raises(ValueError):
-        ground_state(systems, TOL, [np.zeros(2, bool)])
+        ground_state(systems, TOL)
 
 
 def test_isospectral_time_reversal():
@@ -300,7 +325,11 @@ def test_analyze_without_vectors_skips_pairing():
     blocks = kd_operator(FlowField.zero(3), 0.5, BasisLayout(3, 1))
     rep = analyze(blocks)
     assert not any(s.has_vectors for s in rep.systems)
-    assert rep.pairing is None
+    assert rep.pairing["partners"] is None
+    assert rep.pairing["violations"] is None
+    # pure diffusion pairs exactly: only the multiset comparison is left
+    assert rep.pairing["even_odd_distance"] < 1e-12
+    assert rep.to_dict()["even_odd_distance"] == rep.pairing["even_odd_distance"]
     assert rep.classification == UNBROKEN
 
 

@@ -32,13 +32,6 @@ def test_mul_sin_times_one_plus_cos():
     assert (f * g - expect).max_abs() < 1e-15
 
 
-def test_bandwidth_adds_under_product():
-    f = TrigField.cos(2, 0, harmonic=2)
-    g = TrigField.sin(2, 1, harmonic=3)
-    assert (f * g).bandwidth() == 3
-    assert (f * f).bandwidth() == 4
-
-
 def test_evaluate_matches_closed_form():
     f = TrigField.cos(2, 0, 1.5) + TrigField.sin(2, 1, 0.5, 2)
     x = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(40, 2))
