@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +27,6 @@ from .config import (
     build_flow,
     build_model,
     build_potential,
-    build_tolerances,
     parse_config,
 )
 from .layout import BasisLayout, FormVector
@@ -48,18 +45,6 @@ EXIT_CHECK_FAILED = 4
 _WITTEN_BOUND = 1e-6
 
 
-def _threads():
-    """Sweep worker threads: ``STS_THREADS``, a positive integer, default 1."""
-    text = os.environ.get("STS_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"STS_THREADS must be a positive integer, got {text!r}")
-    return threads
-
-
 def _seo_builder(config):
     def build(layout):
         return seo_alpha(build_model(config, layout.truncation))
@@ -74,35 +59,27 @@ def _kd_builder(config):
     return build
 
 
-def _check_dynamo(config, thetas):
+def _check_dynamo(config):
     """Refuse a config the dynamo pipeline would not analyse as written:
     the kinematic dynamo lives on T^3, has the identity noise frame, and
-    takes theta as its magnetic diffusivity, which must be positive for
-    every theta in ``thetas``."""
+    takes theta as its magnetic diffusivity, which must be positive."""
     if config.dimension != 3:
         raise ConfigError("the dynamo pipeline requires dimension 3")
     if config.noise != "identity":
         raise ConfigError("the dynamo pipeline assumes the identity noise frame")
-    for theta in thetas:
-        if theta <= 0:
-            raise ConfigError(
-                f"the dynamo pipeline needs theta > 0 (the magnetic "
-                f"diffusivity), got {theta!r}")
+    if config.theta <= 0:
+        raise ConfigError(
+            f"the dynamo pipeline needs theta > 0 (the magnetic "
+            f"diffusivity), got {config.theta!r}")
 
 
-def run_pipeline(config, check_convergence=True, dynamo=False):
-    """Assemble, eigensolve and post-process one operator family."""
-    builder = _kd_builder(config) if dynamo else _seo_builder(config)
-    blocks = builder(BasisLayout(config.dimension, config.truncation))
-    rep = spectral.analyze(
-        blocks,
-        builder=builder if check_convergence else None,
-        tol=build_tolerances(config),
-        t_grid=config.t_grid,
-    )
-    if config.theta == 0 and not check_convergence:
-        # deterministic-limit spectra may be defective; refuse to certify
-        rep.classification = spectral.INDETERMINATE
+def run_pipeline(config, builder):
+    """Assemble the blocks ``builder(config)`` gives, eigensolve them
+    under the refinement guard and post-process them."""
+    build = builder(config)
+    blocks = build(BasisLayout(config.dimension, config.truncation))
+    rep = spectral.analyze(blocks, builder=build, tol=config.tolerances,
+                           t_grid=config.t_grid)
     return blocks, rep
 
 
@@ -126,13 +103,13 @@ def _base_outputs(config, rep, out_dir, extra_payload=None, checks=None):
 
 
 def cmd_spectrum(config, args, out_dir):
-    _, rep = run_pipeline(config, args.check_convergence)
+    _, rep = run_pipeline(config, _seo_builder)
     ok = rep.classification != spectral.INDETERMINATE
     return _base_outputs(config, rep, out_dir, checks={"converged": ok})
 
 
 def cmd_witten(config, args, out_dir):
-    _, rep = run_pipeline(config, args.check_convergence)
+    _, rep = run_pipeline(config, _seo_builder)
     worst = max(abs(v) for v in rep.witten_samples)
     return _base_outputs(
         config, rep, out_dir,
@@ -142,7 +119,7 @@ def cmd_witten(config, args, out_dir):
 
 
 def cmd_pair(config, args, out_dir):
-    _, rep = run_pipeline(config, args.check_convergence)
+    _, rep = run_pipeline(config, _seo_builder)
     pairing = rep.pairing
     # vectorless systems (3-D) get only the even/odd multiset comparison
     per_state = pairing["violations"] is not None
@@ -192,7 +169,7 @@ def _refinement_agrees(config, t, initial, vals):
     physics."""
     refined = BasisLayout(config.dimension, config.truncation).refined()
     fine = _evolved_bin_averages(config, refined.truncation, t, initial)
-    tol = build_tolerances(config).tol_converge
+    tol = config.tolerances.tol_converge
     return bool(
         np.max(np.abs(fine - vals)) <= tol * max(1.0, float(np.max(np.abs(fine))))
     )
@@ -211,10 +188,11 @@ def cmd_evolve(config, args, out_dir):
             (int(i), float(v)) for i, v in enumerate(vals.ravel())
         ]
         write_table_csv(Path(out_dir) / "density.csv", ["cell", "density"], rows)
-    checks = {"mass_conserved": True, "nonnegative": bool(vals.min() > -1e-8)}
-    if args.check_convergence:
-        checks["converged"] = _refinement_agrees(
-            config, args.t, _rippled_density, vals)
+    checks = {
+        "mass_conserved": True,
+        "nonnegative": bool(vals.min() > -1e-8),
+        "converged": _refinement_agrees(config, args.t, _rippled_density, vals),
+    }
     return ReportDocument(
         config.to_dict(),
         {"t": args.t, "bins": bins, "min_density": float(vals.min())},
@@ -244,10 +222,10 @@ def cmd_mc_compare(config, args, out_dir):
         ]
         write_table_csv(Path(out_dir) / "densities.csv",
                         ["x", "monte_carlo", "operator"], rows)
-    checks = {"l1_within_bound": l1 <= args.l1_bound}
-    if args.check_convergence:
-        checks["converged"] = _refinement_agrees(
-            config, args.t, _uniform_density, ref)
+    checks = {
+        "l1_within_bound": l1 <= args.l1_bound,
+        "converged": _refinement_agrees(config, args.t, _uniform_density, ref),
+    }
     return ReportDocument(
         config.to_dict(),
         {"t": args.t, "samples": args.samples, "dt": dt, "l1_distance": l1},
@@ -256,8 +234,8 @@ def cmd_mc_compare(config, args, out_dir):
 
 
 def cmd_dynamo(config, args, out_dir):
-    _check_dynamo(config, [config.theta])
-    blocks, rep = run_pipeline(config, args.check_convergence, dynamo=True)
+    _check_dynamo(config)
+    blocks, rep = run_pipeline(config, _kd_builder)
     checks = {"converged": rep.classification != spectral.INDETERMINATE}
     extra = {}
     if rep.classification in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):
@@ -290,8 +268,7 @@ def cmd_langevin_check(config, args, out_dir):
         raise ConfigError("langevin-check needs a langevin-cos or langevin-double flow")
     if config.noise != "identity":
         raise ConfigError("langevin-check assumes the identity noise frame")
-    tol = build_tolerances(config)
-    blocks, rep = run_pipeline(config, check_convergence=True)
+    blocks, rep = run_pipeline(config, _seo_builder)
     layout = blocks.layout
 
     def hu_builder(lay):
@@ -302,9 +279,7 @@ def cmd_langevin_check(config, args, out_dir):
     # a 1e-8 equality claim is only meaningful on eigenvalues the
     # truncation has itself resolved to 1e-8, so the match uses a filter
     # that strict instead of the general-purpose tol_converge
-    oracle_tol = spectral.Tolerances(
-        tol_zero=tol.tol_zero, tol_pair=tol.tol_pair, tol_converge=1e-8
-    )
+    oracle_tol = replace(config.tolerances, tol_converge=1e-8)
     h_masks = spectral.convergence_masks(rep.systems, _seo_builder(config), oracle_tol)
     hu_masks = spectral.convergence_masks(hu_systems, hu_builder, oracle_tol)
     radius = spectral.spectral_radius(rep.systems)
@@ -333,14 +308,14 @@ def cmd_langevin_check(config, args, out_dir):
     return _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
 
 
-def _sweep_cell(config, theta, value, dynamo):
+def _sweep_cell(config, theta, value):
     params = dict(config.flow["params"])
     params[config.sweep["parameter"]] = value
     flow = dict(config.flow)
     flow["params"] = params
     cell_cfg = replace(config, theta=theta, flow=flow, sweep=None)
     try:
-        _, rep = run_pipeline(cell_cfg, check_convergence=True, dynamo=dynamo)
+        _, rep = run_pipeline(cell_cfg, _seo_builder)
     except (FloatingPointError, np.linalg.LinAlgError):
         return (theta, value, spectral.INDETERMINATE, "", "", "false")
     if rep.ground is None:
@@ -353,18 +328,11 @@ def _sweep_cell(config, theta, value, dynamo):
 def cmd_sweep(config, args, out_dir):
     if config.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
-    dynamo = args.dynamo
-    if dynamo:
-        _check_dynamo(config, config.sweep["theta"])
-    cells = [
-        (theta, value)
+    rows = [
+        _sweep_cell(config, theta, value)
         for theta in config.sweep["theta"]
         for value in config.sweep["values"]
     ]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(
-            pool.map(lambda c: _sweep_cell(config, c[0], c[1], dynamo), cells)
-        )
     write_table_csv(
         Path(out_dir) / "sweep.csv",
         ["theta", config.sweep["parameter"], "classification",
@@ -425,11 +393,6 @@ def _build_parser():
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--t-grid", type=float_list, default=None)
-        if name not in ("langevin-check", "sweep"):  # both always guard
-            p.add_argument(
-                "--check-convergence", action=argparse.BooleanOptionalAction,
-                default=True,
-            )
         if name == "evolve":
             p.add_argument("--t", type=_number(float, False), default=1.0)
         if name == "mc-compare":
@@ -440,8 +403,6 @@ def _build_parser():
         if name == "dynamo":
             p.add_argument("--dt", type=_number(float, True), default=0.05)
             p.add_argument("--steps", type=_number(int, True), default=6000)
-        if name == "sweep":
-            p.add_argument("--dynamo", action="store_true")
     return parser
 
 

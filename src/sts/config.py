@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,13 +61,13 @@ class ModelConfig:
     truncation: int
     theta: float
     flow: dict
-    alpha: float = 0.5
-    noise: object = "identity"
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
-    t_grid: list = field(default_factory=lambda: [0.1, 1.0, 10.0])
-    output: str = "."
-    sweep: dict = None
+    alpha: float
+    noise: object
+    tolerances: Tolerances
+    seed: int
+    t_grid: list
+    output: str
+    sweep: dict
 
     def to_dict(self):
         out = asdict(self)
@@ -247,7 +247,7 @@ def parse_config(text):
         alpha=float(alpha),
         flow=flow,
         noise=noise,
-        tolerances={key: float(v) for key, v in tols.items()},
+        tolerances=Tolerances(**{key: float(v) for key, v in tols.items()}),
         seed=seed,
         t_grid=[float(t) for t in t_grid],
         output=output,
@@ -345,7 +345,3 @@ def build_model(config, truncation=None):
         layout, build_flow(config), build_noise(config), config.theta,
         config.alpha,
     )
-
-
-def build_tolerances(config):
-    return Tolerances(**config.tolerances)

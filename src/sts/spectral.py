@@ -85,7 +85,7 @@ class EigenSystem:
 
     @property
     def has_vectors(self):
-        return self.right is not None and not self.near_defective
+        return self.right is not None
 
 
 def eigensolve(block, vectors=True):
@@ -93,8 +93,9 @@ def eigensolve(block, vectors=True):
 
     Eigenvalues sorted by (Re, Im); each right vector's largest-modulus
     entry made real positive; left rows from the inverse of the right
-    matrix.  Ill-conditioned eigenbases (condition > 1e10) fall back to a
-    Schur decomposition and are flagged near-defective.  With
+    matrix.  Ill-conditioned eigenbases (condition > 1e10) fall back to
+    the eigenvalues of a Schur decomposition, keep no vectors and are
+    flagged near-defective.  With
     ``vectors=False`` only eigenvalues are computed (advection-dominated
     3-D blocks routinely have unusable global eigenbases; use
     :func:`targeted_eigenpair` for individual states there).
@@ -118,13 +119,12 @@ def eigensolve(block, vectors=True):
         V[:, n] = V[:, n] / phase
     cond = float(np.linalg.cond(V))
     if cond > _DEFECTIVE_COND:
-        # eigenbasis unusable; report Schur values and an orthonormal basis
-        T, Q = sla.schur(A.astype(complex), output="complex")
+        # eigenbasis unusable; report the Schur values and no vectors
+        T = sla.schur(A.astype(complex), output="complex")[0]
         w = np.diag(T)
         order = np.lexsort((w.imag, w.real))
-        w = w[order]
         return EigenSystem(
-            block.k_in, block.layout, w, Q, Q.conj().T,
+            block.k_in, block.layout, w[order], None, None,
             residual=float("nan"), condition=cond, near_defective=True,
         )
     L = np.linalg.inv(V)

@@ -314,8 +314,7 @@ def test_criterion_09_kinematic_dynamo(tmp_path, abc_report):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                 "--dynamo"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     cells = {(float(r["theta"]), float(r["C"])): r["classification"]

@@ -1,7 +1,9 @@
 """Config parsing, canonical serialization, CLI commands and exit codes."""
 
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sts
-from sts.cli import main
+from sts.cli import _build_parser, main
 from sts.config import (
     PRESETS,
     ConfigError,
@@ -45,7 +47,7 @@ def test_parse_minimal_defaults():
     assert cfg.alpha == 0.5
     assert cfg.noise == "identity"
     assert cfg.t_grid == [0.1, 1.0, 10.0]
-    assert cfg.tolerances["tol_zero"] == 1e-8
+    assert cfg.tolerances.tol_zero == 1e-8
     assert cfg.seed == 0
 
 
@@ -200,12 +202,29 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
-def test_cli_indeterminate_exit_code(tmp_path):
+def test_cli_indeterminate_exit_code(tmp_path, monkeypatch):
+    # a guard that certifies nothing leaves no verdict and no ground state
+    monkeypatch.setattr(
+        sts.spectral, "convergence_masks",
+        lambda systems, builder, tol: [np.zeros(s.size, bool) for s in systems])
+    cfg = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert payload["classification"] == "indeterminate"
+    assert payload["ground"] is None
+
+
+def test_cli_deterministic_limit_is_classified(tmp_path):
+    # theta = 0 drift: the guard certifies the zero modes, and the verdict
+    # agrees with the reported ground state
     doc = {**MINIMAL, "theta": 0.0, "flow": {"preset": "drift"}}
     cfg = write_config(tmp_path, doc)
-    code = main(["classify", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--no-check-convergence"])
-    assert code == 3
+    out = tmp_path / "out"
+    assert main(["classify", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert payload["classification"] == "unbroken"
+    assert payload["ground"]["re"] == 0 and payload["ground"]["im"] == 0
 
 
 def test_cli_witten_check(tmp_path):
@@ -299,12 +318,6 @@ def test_cli_mc_compare_unresolved_density_exits_3(tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert report["checks"] == {"l1_within_bound": True, "converged": False}
-    code = main(["mc-compare", "--config", cfg, "--out", str(out), "--t", "2",
-                 "--samples", "2000", "--l1-bound", "10",
-                 "--no-check-convergence"])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert "converged" not in report["checks"]
 
 
 def test_cli_langevin_check(tmp_path):
@@ -361,14 +374,13 @@ _SWEEP = {"theta": [0.3], "parameter": "seed", "values": [1, 2]}
 _ABC = {"dimension": 3, "truncation": 1, "theta": 0.1, "flow": {"preset": "abc"}}
 
 
-def _case(name, command, doc, *flags, env=None):
-    return pytest.param(command, doc, list(flags), env or {}, id=name)
+def _case(name, command, doc, *flags):
+    return pytest.param(command, doc, list(flags), id=name)
 
 
 _RANDOM_SWEEP = {**MINIMAL, "flow": {"preset": "random"}, "sweep": _SWEEP}
 
-# each case has one value out of range, in a flag, the config or the
-# environment
+# each case has one value out of range, in a flag or the config
 _OUT_OF_RANGE = [
     _case("truncation-0", "spectrum", MINIMAL, "--truncation", "0"),
     _case("theta-negative", "spectrum", MINIMAL, "--theta", "-1"),
@@ -401,29 +413,26 @@ _OUT_OF_RANGE = [
     _case("dynamo-theta-0-override", "dynamo", _ABC, "--theta", "0"),
     _case("dynamo-noise", "dynamo",
           {**_ABC, "noise": [[{**_NOISE_MODE, "wavevector": [1, 0, 0]}]]}),
-    _case("sweep-dynamo-theta-0", "sweep",
-          {**_ABC, "sweep": {"theta": [0.1, 0], "parameter": "C",
-                             "values": [1.0]}}, "--dynamo"),
-    # neither command reads the flag
+    # every spectral command runs the refinement guard, and a sweep
+    # already builds the dynamo operator from a 3-D identity-noise config
+    _case("spectrum-no-check-convergence", "spectrum", MINIMAL,
+          "--no-check-convergence"),
+    _case("spectrum-check-convergence", "spectrum", MINIMAL,
+          "--check-convergence"),
     _case("sweep-no-check-convergence", "sweep", _RANDOM_SWEEP,
           "--no-check-convergence"),
     _case("langevin-check-no-check-convergence", "langevin-check", MINIMAL,
           "--no-check-convergence"),
-    _case("sts-threads-text", "sweep", _RANDOM_SWEEP,
-          env={"STS_THREADS": "abc"}),
-    _case("sts-threads-0", "sweep", _RANDOM_SWEEP, env={"STS_THREADS": "0"}),
-    _case("sts-threads-fraction", "sweep", _RANDOM_SWEEP,
-          env={"STS_THREADS": "1.5"}),
+    _case("sweep-dynamo", "sweep",
+          {**_ABC, "sweep": {"theta": [0.1], "parameter": "C",
+                             "values": [1.0]}}, "--dynamo"),
     _case("out-unwritable", "spectrum", MINIMAL,
           "--out", os.path.join(os.devnull, "out")),
 ]
 
 
-@pytest.mark.parametrize("command,doc,flags,env", _OUT_OF_RANGE)
-def test_out_of_range_input_exits_2(tmp_path, capsys, monkeypatch, command,
-                                    doc, flags, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+@pytest.mark.parametrize("command,doc,flags", _OUT_OF_RANGE)
+def test_out_of_range_input_exits_2(tmp_path, capsys, command, doc, flags):
     cfg = write_config(tmp_path, doc)
     try:
         code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
@@ -551,3 +560,31 @@ def test_console_script_entry_point(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "sts: cannot read config" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _subcommand_options():
+    """Each subcommand's long options, from the parser ``main`` uses."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {opt for a in p._actions for opt in a.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_names_exactly_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    options = _subcommand_options()
+    undocumented = sorted(
+        f"{name} {opt}" for name, opts in options.items() for opt in opts
+        if not re.search(re.escape(opt) + r"(?![\w-])", readme))
+    assert not undocumented
+    # install and test command lines carry pip's and pytest's own flags
+    named = {
+        flag for line in readme.splitlines()
+        if not re.search(r"\b(pip|pytest)\b", line)
+        for flag in re.findall(r"--[a-z][\w-]*", line)
+    }
+    assert not named - set().union(*options.values())
