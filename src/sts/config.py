@@ -31,26 +31,25 @@ _FLOW_KEYS = {"preset", "params", "modes"}
 _TOL_KEYS = {"tol_zero", "tol_pair", "tol_converge"}
 _SWEEP_KEYS = {"theta", "parameter", "values"}
 
-PRESETS = (
-    "diffusion", "drift", "langevin-cos", "langevin-double",
-    "shear-2d", "abc", "random", "custom",
-)
-
-_PRESET_DIMENSION = {
-    "langevin-cos": 1, "langevin-double": 1, "shear-2d": 2, "abc": 3,
+# each flow preset: the dimension it requires (None: any) and the params
+# its flow builder reads
+_PRESET_TABLE = {
+    "diffusion": (None, ()),
+    "drift": (None, ("c",)),
+    "langevin-cos": (1, ()),
+    "langevin-double": (1, ("a",)),
+    "shear-2d": (2, ()),
+    "abc": (3, ("A", "B", "C")),
+    "random": (None, ("seed", "bandwidth", "amplitude")),
+    "custom": (None, ()),
 }
+PRESETS = tuple(_PRESET_TABLE)
 
 # Largest Fourier basis a config may ask for: the biggest block at the
 # refined truncation N + 2 that the convergence guard assembles, and the
 # mode count of a random field.  3 * 21**3 is the degree-1 block of 3-D
 # N = 8, refined to N = 10.
 _MAX_BASIS_SIZE = 3 * 21 ** 3
-
-# the params each preset's flow builder reads
-_PRESET_PARAMS = {
-    "drift": ("c",), "langevin-double": ("a",), "abc": ("A", "B", "C"),
-    "random": ("seed", "bandwidth", "amplitude"),
-}
 
 
 @dataclass
@@ -128,14 +127,20 @@ def _check_modes(modes, dimension, what):
 
 
 def _check_params(preset, params, dimension):
-    """Validate the preset parameters that build_flow reads."""
+    """Validate the preset parameters that build_flow reads, and refuse
+    any other."""
     _require(isinstance(params, dict), "flow params must be an object")
+    reads = _PRESET_TABLE[preset][1]
+    unread = sorted(set(params) - set(reads))
+    _require(not unread,
+             f"preset {preset!r} does not read params {unread}; it reads "
+             f"{list(reads) or 'none'}")
     valid = {
         "seed": lambda v: _is_int(v, 0), "bandwidth": lambda v: _is_int(v, 1),
         "c": lambda v: isinstance(v, list) and len(v) == dimension
         and all(map(_is_number, v)),
     }
-    for key in _PRESET_PARAMS.get(preset, ()):
+    for key in reads:
         _require(key not in params or valid.get(key, _is_number)(params[key]),
                  f"invalid {preset} parameter {key} = {params.get(key)!r}")
     if preset == "random" and "bandwidth" in params:
@@ -184,7 +189,7 @@ def parse_config(text):
     _require(not unknown, f"unknown flow keys: {sorted(unknown)}")
     preset = flow.get("preset")
     _require(preset in PRESETS, f"unknown flow preset {preset!r}")
-    want = _PRESET_DIMENSION.get(preset)
+    want = _PRESET_TABLE[preset][0]
     _require(
         want is None or want == dimension,
         f"preset {preset!r} requires dimension {want}, config says {dimension}",

@@ -97,8 +97,7 @@ class SeoBlocks:
     def d_commutator_residuals(self):
         """Relative Frobenius norm of d H^(k) - H^(k+1) d per degree k < D."""
         out = []
-        for k in range(self.layout.dimension):
-            d = d_matrix(self.layout, k).matrix
+        for k, d in enumerate(_derivatives(self.layout)):
             comm = d @ self.blocks[k].matrix - self.blocks[k + 1].matrix @ d
             num = sp.linalg.norm(comm) if comm.nnz else 0.0
             den = sp.linalg.norm(d) * max(
@@ -108,35 +107,53 @@ class SeoBlocks:
         return out
 
 
-def _graded_anticommutator(up, down, layout, k):
-    """down(k + 1) up(k) + up(k - 1) down(k) on degree-k forms.
-
-    ``up(j)`` maps degree j to j + 1 and ``down(j)`` degree j to j - 1;
-    at k = 0 and k = D only the term that exists is kept.
-    """
-    n = layout.size(k)
-    total = sp.csr_matrix((n, n), dtype=complex)
-    if k < layout.dimension:
-        total = total + down(k + 1) @ up(k)
-    if k > 0:
-        total = total + up(k - 1) @ down(k)
-    return total
+def _blocks(matrices, layout):
+    """SeoBlocks holding one matrix per degree k = 0..D."""
+    return SeoBlocks(
+        tuple(OperatorBlock(k, k, layout, m) for k, m in enumerate(matrices)),
+        layout,
+    )
 
 
-def lie_matrix(G, layout, k):
-    """Lie derivative along G on degree-k forms via the Cartan formula.
+def _derivatives(layout):
+    """The exterior derivatives d: degree j -> j + 1 for j = 0..D-1."""
+    return [d_matrix(layout, j).matrix for j in range(layout.dimension)]
 
-    Both terms use the truncated interior product, so the commutator
-    [d, L_G] vanishes identically on the truncated basis.
+
+def _graded_anticommutator(up, down, layout):
+    """down[k + 1] up[k] + up[k - 1] down[k] on every degree k = 0..D.
+
+    ``up[j]`` maps degree j to j + 1 and ``down[j]`` degree j to j - 1
+    (``down[0]`` is never read); at k = 0 and k = D only the term that
+    exists is kept.
     """
     D = layout.dimension
-    if not 0 <= k <= D:
-        raise ValueError(f"degree {k} outside 0..{D}")
-    total = _graded_anticommutator(
-        lambda j: d_matrix(layout, j).matrix,
-        lambda j: interior_matrix(G, layout, j).matrix, layout, k,
-    )
-    return OperatorBlock(k, k, layout, total)
+    out = []
+    for k in range(D + 1):
+        n = layout.size(k)
+        total = sp.csr_matrix((n, n), dtype=complex)
+        if k < D:
+            total = total + down[k + 1] @ up[k]
+        if k > 0:
+            total = total + up[k - 1] @ down[k]
+        out.append(total)
+    return out
+
+
+def lie_matrices(G, layout, d=None):
+    """Lie derivative along G on every degree via the Cartan formula.
+
+    Both terms use the truncated interior product, so the commutator
+    [d, L_G] vanishes identically on the truncated basis.  ``d`` is
+    the list of :func:`_derivatives` when the caller already has it.
+    """
+    if d is None:
+        d = _derivatives(layout)
+    iota = [None] + [
+        interior_matrix(G, layout, j).matrix
+        for j in range(1, layout.dimension + 1)
+    ]
+    return _graded_anticommutator(d, iota, layout)
 
 
 def alpha_drift(F, noise, theta, alpha):
@@ -164,20 +181,14 @@ def seo_blocks(model):
     The noise term is summed before it is scaled, so the identity frame
     gives exactly the blocks of the dynamo generator L_v + eta Delta_H.
     """
-    if model.theta < 0:
-        raise ValueError("temperature must be nonnegative")
     layout = model.layout
-    blocks = []
-    for k in range(layout.dimension + 1):
-        H = lie_matrix(model.drift, layout, k).matrix
-        noise = None
-        for e in model.noise:
-            L = lie_matrix(e, layout, k).matrix
-            noise = L @ L if noise is None else noise + L @ L
-        if noise is not None:
-            H = H - model.theta * noise
-        blocks.append(OperatorBlock(k, k, layout, H))
-    return SeoBlocks(tuple(blocks), layout)
+    d = _derivatives(layout)
+    H = lie_matrices(model.drift, layout, d)
+    lies = [lie_matrices(e, layout, d) for e in model.noise]
+    if lies:
+        H = [h - model.theta * sum(L[k] @ L[k] for L in lies)
+             for k, h in enumerate(H)]
+    return _blocks(H, layout)
 
 
 def seo_alpha(model):
@@ -230,14 +241,13 @@ def hodge_laplacian_blocks(layout):
     Assembled from the codifferential rather than from Lie derivatives,
     so it is an independent oracle for the diffusive part of the dynamo.
     """
-    blocks = [
-        OperatorBlock(k, k, layout, _graded_anticommutator(
-            lambda j: d_matrix(layout, j).matrix,
-            lambda j: codifferential_matrix(layout, j).matrix, layout, k,
-        ))
-        for k in range(layout.dimension + 1)
+    delta = [None] + [
+        codifferential_matrix(layout, j).matrix
+        for j in range(1, layout.dimension + 1)
     ]
-    return SeoBlocks(tuple(blocks), layout)
+    return _blocks(
+        _graded_anticommutator(_derivatives(layout), delta, layout), layout
+    )
 
 
 def kd_operator(v, eta, layout):
@@ -262,32 +272,23 @@ def kd_model(v, eta, layout):
     return SdeModel(layout, v, identity_frame(layout.dimension), eta, 0.5)
 
 
-def deformed_d_matrix(U, theta, layout, k):
-    """Potential-deformed derivative d_U = d - (1/2 theta) dU wedge."""
-    dU = [U.diff(j) for j in range(layout.dimension)]
-    block = d_matrix(layout, k)
-    wedge = one_form_wedge_matrix(dU, layout, k)
-    return OperatorBlock(
-        k, k + 1, layout, block.matrix - wedge.matrix / (2.0 * theta)
-    )
-
-
 def langevin_hermitian_blocks(U, theta, layout):
     """Hermitianized Langevin operator, per degree.
 
     H_U^(k) = theta (d_U d_U^dag + d_U^dag d_U) built from the deformed
-    derivative.  Similar to the Langevin evolution operator with drift
-    -grad U and unit additive noise, hence an independent oracle for its
-    real nonnegative spectrum.
+    derivative d_U = d - (1/2 theta) dU wedge.  Similar to the Langevin
+    evolution operator with drift -grad U and unit additive noise, hence
+    an independent oracle for its real nonnegative spectrum.
     """
     if theta <= 0:
         raise ValueError("positive temperature required")
-    blocks = [
-        OperatorBlock(k, k, layout, theta * _graded_anticommutator(
-            lambda j: deformed_d_matrix(U, theta, layout, j).matrix,
-            lambda j: deformed_d_matrix(U, theta, layout, j - 1).matrix.conj().T,
-            layout, k,
-        ))
-        for k in range(layout.dimension + 1)
+    grad = [U.diff(j) for j in range(layout.dimension)]
+    dU = [
+        d - one_form_wedge_matrix(grad, layout, j).matrix / (2.0 * theta)
+        for j, d in enumerate(_derivatives(layout))
     ]
-    return SeoBlocks(tuple(blocks), layout)
+    adjoint = [None] + [m.conj().T for m in dU]
+    return _blocks(
+        [theta * m for m in _graded_anticommutator(dU, adjoint, layout)],
+        layout,
+    )

@@ -173,12 +173,12 @@ def induction_timestep_oracle(v, eta, b0, dt, steps):
     extracted from about 400 snapshots by a rank-6 dynamic mode
     decomposition; gamma = -Re and omega = |Im| of that eigenvalue.
     """
-    from .operators import lie_matrix
+    from .operators import lie_matrices
 
     layout = b0.layout
     if layout.dimension != 3:
         raise ValueError("the induction oracle runs on T^3 only")
-    L = lie_matrix(v, layout, 2).matrix.tocsr()
+    L = lie_matrices(v, layout)[2]
     modes = layout.modes()
     k2 = np.tile((modes ** 2).sum(axis=1), 3)
     half_diffusion = np.exp(-eta * k2 * dt / 2.0)

@@ -1,9 +1,9 @@
 """Eigen-analysis of the graded evolution operators.
 
-Solves each degree block densely, builds the bi-orthogonal left system,
-verifies pairing and (iso)spectral identities, computes the Witten index
-and the dynamical partition function, classifies the spectrum type, and
-evaluates ground-state observables.
+Solves each degree block densely, verifies pairing and (iso)spectral
+identities, computes the Witten index and the dynamical partition
+function, classifies the spectrum type, and evaluates ground-state
+observables.
 """
 
 from __future__ import annotations
@@ -56,11 +56,12 @@ class Tolerances:
 
 @dataclass
 class EigenSystem:
-    """Bi-orthogonal eigendecomposition of one degree block.
+    """Eigendecomposition of one degree block.
 
-    Right vectors are the columns of ``right``; the matching left rows
-    (rows of ``left``) satisfy left @ right = identity, so the row
-    left[n] is the coefficient functional of the dual bra of state n.
+    Right vectors are the columns of ``right`` (None when the eigenbasis
+    is unusable or was not computed); the matching left row of state n,
+    the coefficient functional of its dual bra, is row n of the inverse
+    of ``right`` and is formed only where it is read.
     ``converged[n]`` says whether eigenvalue n is certified by the
     truncation-refinement guard; every eigenvalue is trusted by default.
     """
@@ -69,8 +70,6 @@ class EigenSystem:
     layout: object
     eigenvalues: np.ndarray
     right: np.ndarray = field(repr=False)
-    left: np.ndarray = field(repr=False)
-    residual: float = 0.0
     condition: float = 1.0
     near_defective: bool = False
     converged: np.ndarray = field(default=None, repr=False)
@@ -89,49 +88,35 @@ class EigenSystem:
 
 
 def eigensolve(block, vectors=True):
-    """Dense bi-orthogonal eigendecomposition of a degree block.
+    """Dense eigendecomposition of a degree block.
 
     Eigenvalues sorted by (Re, Im); each right vector's largest-modulus
-    entry made real positive; left rows from the inverse of the right
-    matrix.  Ill-conditioned eigenbases (condition > 1e10) fall back to
-    the eigenvalues of a Schur decomposition, keep no vectors and are
-    flagged near-defective.  With
-    ``vectors=False`` only eigenvalues are computed (advection-dominated
-    3-D blocks routinely have unusable global eigenbases; use
+    entry made real positive.  Ill-conditioned eigenbases (condition
+    > 1e10) fall back to the eigenvalues of a Schur decomposition, keep
+    no vectors and are flagged near-defective.  With ``vectors=False``
+    only eigenvalues are computed (advection-dominated 3-D blocks
+    routinely have unusable global eigenbases; use
     :func:`targeted_eigenpair` for individual states there).
     """
     A = block.dense
     if not np.all(np.isfinite(A)):
         raise ValueError("operator block contains non-finite entries")
-    if not vectors:
+    V, cond = None, float("nan")
+    if vectors:
+        w, V = sla.eig(A)
+        top = V[np.argmax(np.abs(V), axis=0), np.arange(len(w))]
+        V = V / (top / np.abs(top))
+        cond = float(np.linalg.cond(V))
+    else:
         w = np.linalg.eigvals(A)
-        order = np.lexsort((w.imag, w.real))
-        return EigenSystem(
-            block.k_in, block.layout, w[order], None, None,
-            residual=float("nan"), condition=float("nan"),
-        )
-    w, V = sla.eig(A)
-    order = np.lexsort((w.imag, w.real))
-    w, V = w[order], V[:, order]
-    for n in range(V.shape[1]):
-        j = int(np.argmax(np.abs(V[:, n])))
-        phase = V[j, n] / abs(V[j, n])
-        V[:, n] = V[:, n] / phase
-    cond = float(np.linalg.cond(V))
-    if cond > _DEFECTIVE_COND:
+    near_defective = cond > _DEFECTIVE_COND
+    if near_defective:
         # eigenbasis unusable; report the Schur values and no vectors
-        T = sla.schur(A.astype(complex), output="complex")[0]
-        w = np.diag(T)
-        order = np.lexsort((w.imag, w.real))
-        return EigenSystem(
-            block.k_in, block.layout, w[order], None, None,
-            residual=float("nan"), condition=cond, near_defective=True,
-        )
-    L = np.linalg.inv(V)
-    residual = float(np.max(np.abs(L @ V - np.eye(len(w)))))
+        w, V = np.diag(sla.schur(A.astype(complex), output="complex")[0]), None
+    order = np.lexsort((w.imag, w.real))
     return EigenSystem(
-        block.k_in, block.layout, w, V, L,
-        residual=residual, condition=cond,
+        block.k_in, block.layout, w[order], None if V is None else V[:, order],
+        condition=cond, near_defective=near_defective,
     )
 
 
@@ -393,7 +378,7 @@ def _ground_vectors(ground, systems):
             "eigensystem has no usable vectors; use targeted_eigenpair"
         )
     n = ground["index"]
-    return s.right[:, n], s.left[n], s.degree, s.layout
+    return s.right[:, n], np.linalg.inv(s.right)[n], s.degree, s.layout
 
 
 def expectation(f, ground, systems=None):

@@ -320,11 +320,21 @@ def test_cli_mc_compare_unresolved_density_exits_3(tmp_path):
     assert report["checks"] == {"l1_within_bound": True, "converged": False}
 
 
-def test_cli_langevin_check(tmp_path):
+def test_cli_langevin_check(tmp_path, monkeypatch):
+    # the evolution operator is assembled once at N and once at N + 2
+    truncations = []
+    seo_alpha = sts.cli.seo_alpha
+
+    def counted(model):
+        truncations.append(model.layout.truncation)
+        return seo_alpha(model)
+
+    monkeypatch.setattr(sts.cli, "seo_alpha", counted)
     doc = {**MINIMAL, "truncation": 16}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["langevin-check", "--config", cfg, "--out", str(out)]) == 0
+    assert truncations == [16, 18]
     report = json.loads((out / "report.json").read_text())
     assert report["checks"]["spectrum_real"]
     assert report["checks"]["matches_hermitian_oracle"]
@@ -354,6 +364,26 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 5
     report = json.loads((out / "report.json").read_text())
     assert report["payload"]["cells"] == 4
+
+
+def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a sweep records a failed cell and goes on; a single run exits 3
+    def fail(block, vectors=True):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(sts.spectral, "eigensolve", fail)
+    doc = {**MINIMAL, "truncation": 4, "flow": {"preset": "random"},
+           "sweep": {"theta": [0.5], "parameter": "seed", "values": [1]}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().strip().split("\n")
+    assert rows[1].strip() == "0.5,1,indeterminate,,,false"
+    capsys.readouterr()
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sts: numerical failure")
+    assert "Traceback" not in err
 
 
 def test_cli_overrides(tmp_path):
@@ -398,6 +428,13 @@ _OUT_OF_RANGE = [
     _case("sweep-theta-negative", "sweep",
           {**MINIMAL, "flow": {"preset": "random"},
            "sweep": {**_SWEEP, "theta": [0.3, -0.1]}}),
+    # a key the preset's flow builder does not read is refused
+    _case("params-unread", "spectrum",
+          {**MINIMAL, "dimension": 2, "flow": {"preset": "shear-2d",
+                                               "params": {"amplitude": 7}}}),
+    _case("sweep-unread-parameter", "sweep",
+          {**MINIMAL, "dimension": 2, "flow": {"preset": "shear-2d"},
+           "sweep": {**_SWEEP, "parameter": "bogus"}}),
     _case("sweep-seed-text", "sweep",
           {**MINIMAL, "flow": {"preset": "random"},
            "sweep": {**_SWEEP, "values": [1, "two"]}}),

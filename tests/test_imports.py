@@ -1,5 +1,6 @@
 """Every module-level import in the sts package and its tests is used by
-its module."""
+its module, and every module-level function or class of the package is
+named somewhere outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 
 import sts
 
-SOURCES = (sorted(Path(sts.__file__).parent.glob("*.py"))
-           + sorted(Path(__file__).parent.glob("*.py")))
+PACKAGE = sorted(Path(sts.__file__).parent.glob("*.py"))
+SOURCES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
+# the benchmark harness wraps package functions by name
+PERFBENCH = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def _imported_names(tree):
@@ -43,3 +46,34 @@ def test_module_level_imports_are_used(path):
         for name, line in _imported_names(tree) if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _names(node):
+    """Every name, attribute, imported name and string constant in node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_every_package_function_and_class_is_referenced():
+    defined = []
+    referenced = set()
+    for path in SOURCES + PERFBENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            names = set(_names(node))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)  # recursion is not a use
+                if path in PACKAGE:
+                    defined.append((path.name, node.name))
+            referenced |= names
+    unreferenced = [
+        f"{module}: {name}" for module, name in defined if name not in referenced
+    ]
+    assert not unreferenced, f"defined but never named: {unreferenced}"

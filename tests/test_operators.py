@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sts.exterior import d_matrix
 from sts.layout import BasisLayout
@@ -13,7 +15,7 @@ from sts.operators import (
     kd_model,
     kd_operator,
     langevin_hermitian_blocks,
-    lie_matrix,
+    lie_matrices,
     seo_alpha,
     seo_blocks,
     seo_time_reversed,
@@ -32,17 +34,16 @@ def test_lie_constant_flow_is_translation_generator():
     lay = BasisLayout(2, 2)
     G = FlowField.constant([2.0, -1.0])
     modes = lay.modes()
-    for k in range(3):
-        L = lie_matrix(G, lay, k).dense
+    for k, L in enumerate(lie_matrices(G, lay)):
         diag = np.tile(2j * modes[:, 0] - 1j * modes[:, 1],
                        lay.size(k) // lay.n_modes)
-        assert np.abs(L - np.diag(diag)).max() < 1e-14
+        assert np.abs(L.toarray() - np.diag(diag)).max() < 1e-14
 
 
 def test_lie_sin_on_scalars():
     # L_{sin(x) d/dx} e^{i kappa x} = (kappa/2)(e^{i(kappa+1)x} - e^{i(kappa-1)x})
     lay = BasisLayout(1, 3)
-    L = lie_matrix(FlowField([TrigField.sin(1, 0)]), lay, 0).dense
+    L = lie_matrices(FlowField([TrigField.sin(1, 0)]), lay)[0].toarray()
     for kappa in range(-2, 3):
         col = L[:, lay.mode_index((kappa,))]
         expect = np.zeros(lay.n_modes, complex)
@@ -56,11 +57,10 @@ def test_lie_commutes_with_d_exactly():
     for D, N in [(1, 3), (2, 2), (3, 1)]:
         lay = BasisLayout(D, N)
         G = FlowField([TrigField.random(D, 1, rng, 0.7) for _ in range(D)])
+        L = lie_matrices(G, lay)
         for k in range(D):
-            L_k = lie_matrix(G, lay, k).matrix
-            L_k1 = lie_matrix(G, lay, k + 1).matrix
             d = d_matrix(lay, k).matrix
-            comm = d @ L_k - L_k1 @ d
+            comm = d @ L[k] - L[k + 1] @ d
             assert comm.nnz == 0 or abs(comm).max() < 1e-13
 
 
@@ -209,6 +209,23 @@ def test_d_exactness_of_assembled_operators():
             assert max(blocks.d_commutator_residuals()) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(D=st.integers(1, 3), N=st.integers(1, 2), n_noise=st.integers(1, 2),
+       theta=st.floats(0, 1), alpha=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_d_exactness_on_random_models(D, N, n_noise, theta, alpha, seed):
+    # the bound of acceptance criterion 1, on drawn drifts and noise frames
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return FlowField([TrigField.random(D, 1, rng, 0.5) for _ in range(D)])
+
+    model = SdeModel(BasisLayout(D, N), field(),
+                     [field() for _ in range(n_noise)], theta, alpha)
+    for blocks in (seo_alpha(model), seo_time_reversed(model)):
+        assert max(blocks.d_commutator_residuals()) <= 1e-12
+
+
 def test_spectra_closed_under_conjugation():
     for m in [shear_model(), multiplicative_model()]:
         H = seo_blocks(m)
@@ -230,8 +247,9 @@ def test_kd_equals_seo_with_identity_frame():
         kd = kd_operator(v, 0.1, lay)
         seo = seo_blocks(kd_model(v, 0.1, lay))
         lap = hodge_laplacian_blocks(lay)
+        lie = lie_matrices(v, lay)
         for k in range(4):
-            oracle = lie_matrix(v, lay, k).matrix + 0.1 * lap[k].matrix
+            oracle = lie[k] + 0.1 * lap[k].matrix
             assert np.array_equal(kd[k].dense, oracle.toarray())
             assert np.array_equal(kd[k].dense, seo[k].dense)
 

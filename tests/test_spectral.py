@@ -48,15 +48,13 @@ def fake_system(values, degree=0, dimension=1):
     w = np.asarray(values, complex)
     order = np.lexsort((w.imag, w.real))
     return EigenSystem(
-        degree, BasisLayout(dimension, 1), w[order],
-        np.eye(len(w), dtype=complex), np.eye(len(w), dtype=complex),
+        degree, BasisLayout(dimension, 1), w[order], np.eye(len(w), dtype=complex),
     )
 
 
 def test_eigensolve_diagonal():
     sys = eigensolve(diag_block([4.0, 0.0, 1.0, 3.0, 2.0]))
     assert np.allclose(sys.eigenvalues, [0, 1, 2, 3, 4])
-    assert sys.residual < 1e-12
     # phase gauge: largest entry real positive
     assert np.allclose(sys.right.max(axis=0), 1.0)
 
@@ -83,9 +81,8 @@ def test_eigensolve_reconstructs_random_matrix():
     A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     block = OperatorBlock(0, 0, BasisLayout(1, 3), sp.csr_matrix(A))
     sys = eigensolve(block)
-    recon = sys.right @ np.diag(sys.eigenvalues) @ sys.left
+    recon = sys.right @ np.diag(sys.eigenvalues) @ np.linalg.inv(sys.right)
     assert np.abs(recon - A).max() < 1e-9
-    assert np.abs(sys.left @ sys.right - np.eye(7)).max() < 1e-10
 
 
 def test_eigensolve_vectorless():
