@@ -390,9 +390,12 @@ def _build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--truncation", type=int, default=None)
-        p.add_argument("--theta", type=float, default=None)
+        # sweep cells set theta; only the spectral pipeline reads t_grid
+        if name != "sweep":
+            p.add_argument("--theta", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--t-grid", type=float_list, default=None)
+        if name not in ("evolve", "mc-compare"):
+            p.add_argument("--t-grid", type=float_list, default=None)
         if name == "evolve":
             p.add_argument("--t", type=_number(float, False), default=1.0)
         if name == "mc-compare":
@@ -414,7 +417,7 @@ def _with_overrides(text, args):
     so that ``parse_config`` validates them like the file's own values."""
     overrides = {
         key: getattr(args, key) for key in _OVERRIDES
-        if getattr(args, key) is not None
+        if getattr(args, key, None) is not None
     }
     try:
         raw = json.loads(text)

@@ -175,15 +175,24 @@ def alpha_drift(F, noise, theta, alpha):
     return FlowField(comps)
 
 
-def seo_blocks(model):
-    """Stratonovich evolution operator H = L_F - theta sum_a L_a L_a.
+def stratonovich(model):
+    """The Stratonovich SDE equivalent to ``model`` (drift shifted by
+    :func:`alpha_drift`, alpha 1/2), the one reader of alpha; at alpha
+    1/2 the drift object passes through unchanged."""
+    drift = alpha_drift(model.drift, model.noise, model.theta, model.alpha)
+    return replace(model, drift=drift, alpha=0.5)
+
+
+def seo_alpha(model):
+    """Evolution operator H = L_F - theta sum_a L_a L_a, F the drift of
+    the model's Stratonovich equivalent.
 
     The noise term is summed before it is scaled, so the identity frame
     gives exactly the blocks of the dynamo generator L_v + eta Delta_H.
     """
     layout = model.layout
     d = _derivatives(layout)
-    H = lie_matrices(model.drift, layout, d)
+    H = lie_matrices(stratonovich(model).drift, layout, d)
     lies = [lie_matrices(e, layout, d) for e in model.noise]
     if lies:
         H = [h - model.theta * sum(L[k] @ L[k] for L in lies)
@@ -191,21 +200,11 @@ def seo_blocks(model):
     return _blocks(H, layout)
 
 
-def seo_alpha(model):
-    """Evolution operator in interpretation alpha via the drift shift."""
-    shifted = SdeModel(
-        model.layout,
-        alpha_drift(model.drift, model.noise, model.theta, model.alpha),
-        model.noise,
-        model.theta,
-        0.5,
-    )
-    return seo_blocks(shifted)
-
-
 def seo_time_reversed(model):
-    """Time-reversed evolution operator H_T = -L_F - theta sum_a L_a L_a."""
-    return seo_blocks(replace(model, drift=-model.drift))
+    """Time-reversed evolution operator H_T = -L_F - theta sum_a L_a L_a,
+    F the drift of the Stratonovich equivalent as in :func:`seo_alpha`."""
+    strat = stratonovich(model)
+    return seo_alpha(replace(strat, drift=-strat.drift))
 
 
 def fp_matrix_direct(F, noise, theta, alpha, layout):
@@ -261,7 +260,7 @@ def kd_operator(v, eta, layout):
         raise ValueError("the kinematic dynamo is defined on T^3 only")
     if eta <= 0:
         raise ValueError(f"magnetic diffusivity must be positive, got {eta}")
-    return seo_blocks(kd_model(v, eta, layout))
+    return seo_alpha(kd_model(v, eta, layout))
 
 
 def kd_model(v, eta, layout):

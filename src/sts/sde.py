@@ -1,7 +1,8 @@
 """Direct simulation of the stochastic flow and density cross-checks.
 
 Trajectories are integrated on the torus with a Heun predictor-corrector
-(Stratonovich limit) or Euler-Maruyama (Ito limit); fields along
+on the model's Stratonovich equivalent, so paths and operator densities
+follow the same law in every interpretation alpha; fields along
 trajectories are evaluated by ``TrigField.evaluate`` as real cos/sin
 sums over one half-space of wavevectors (each +-kappa pair folded once
 per field), which is exact for the band-limited fields used everywhere
@@ -15,6 +16,7 @@ import scipy.linalg as sla
 
 from .exterior import integrate_top
 from .layout import FormVector
+from .operators import lie_matrices, stratonovich
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,8 +30,8 @@ def _increment(model, x, dt, dw, sqrt2theta):
 
 
 def max_stable_dt(model):
-    """Conservative step bound 0.1 / (max |F| + theta * max noise gradient)."""
-    scale = model.drift.max_abs()
+    """Step bound 0.1 / (max |F| + theta * max noise gradient), F as stepped."""
+    scale = stratonovich(model).drift.max_abs()
     for e in model.noise:
         grad = max(
             e[i].diff(j).max_abs()
@@ -40,24 +42,18 @@ def max_stable_dt(model):
     return 0.1 / max(scale, 1e-12)
 
 
-def _check_dt(model, dt):
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    if dt > max_stable_dt(model) * (1 + 1e-12):
-        raise ValueError(
-            f"dt = {dt} exceeds the stability bound {max_stable_dt(model):.3g}"
-        )
-
-
-def ensemble_states(model, n_traj, dt, steps, rng, scheme="heun", x0=None):
+def ensemble_states(model, n_traj, dt, steps, rng, x0=None):
     """Final states of n_traj independent trajectories, shape (n_traj, D).
 
-    Steps with the Heun predictor-corrector (``scheme="heun"``, which
-    converges to the Stratonovich SDE) or Euler-Maruyama (``"euler"``,
-    the Ito SDE), wrapping to [0, 2pi)^D after every step.  Paths start
-    from uniform draws, or from the rows of ``x0`` when it is given.
+    Heun-steps the model's Stratonovich equivalent, so the paths sample
+    the law of interpretation ``model.alpha``, and wraps to [0, 2pi)^D
+    after every step.  Paths start from uniform draws, or from the rows
+    of ``x0`` when it is given.
     """
-    _check_dt(model, dt)
+    bound = max_stable_dt(model)
+    if not 0 < dt <= bound * (1 + 1e-12):
+        raise ValueError(f"dt = {dt} is not in (0, {bound:.3g}], the step bound")
+    model = stratonovich(model)
     if x0 is None:
         x0 = rng.uniform(0.0, TWO_PI, size=(n_traj, model.dimension))
     x = np.array(x0, dtype=float)
@@ -66,11 +62,8 @@ def ensemble_states(model, n_traj, dt, steps, rng, scheme="heun", x0=None):
     for n in range(steps):
         dw = rng.normal(0.0, np.sqrt(dt), size=(len(x), M))
         k1 = _increment(model, x, dt, dw, s2t)
-        if scheme == "heun":
-            k2 = _increment(model, x + k1, dt, dw, s2t)
-            x = x + 0.5 * (k1 + k2)
-        else:
-            x = x + k1
+        k2 = _increment(model, x + k1, dt, dw, s2t)
+        x = x + 0.5 * (k1 + k2)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"integration diverged at step {n}")
         x = np.mod(x, TWO_PI)
@@ -173,8 +166,6 @@ def induction_timestep_oracle(v, eta, b0, dt, steps):
     extracted from about 400 snapshots by a rank-6 dynamic mode
     decomposition; gamma = -Re and omega = |Im| of that eigenvalue.
     """
-    from .operators import lie_matrices
-
     layout = b0.layout
     if layout.dimension != 3:
         raise ValueError("the induction oracle runs on T^3 only")

@@ -12,6 +12,8 @@ discretization error.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 _REALITY_TOL = 1e-12
@@ -96,8 +98,6 @@ class TrigField:
         """Random real field with support in the |kappa_j| <= bandwidth box."""
         coeffs = {}
         ranges = [range(-bandwidth, bandwidth + 1)] * dimension
-        import itertools
-
         for kappa in itertools.product(*ranges):
             if kappa <= tuple(-k for k in kappa):
                 continue  # take one representative per +-kappa pair

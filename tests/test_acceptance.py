@@ -20,7 +20,6 @@ from sts.operators import (
     kd_model,
     kd_operator,
     seo_alpha,
-    seo_blocks,
     seo_time_reversed,
 )
 from sts.sde import (
@@ -140,7 +139,7 @@ def test_criterion_02_free_diffusion_spectra():
     betti_ok = True
     for D in (1, 2, 3):
         lay = BasisLayout(D, 2)
-        blocks = seo_blocks(
+        blocks = seo_alpha(
             SdeModel(lay, FlowField.zero(D), identity_frame(D), theta)
         )
         k2 = theta * (lay.modes() ** 2).sum(axis=1)
@@ -165,7 +164,7 @@ def test_criterion_03_witten_index(abc_report, roberts_report):
     t_grid = [0.1, 1.0, 10.0]
     worst = 0.0
     for m in _preset_models(2) + pairing_suite():
-        systems = [eigensolve(b, vectors=False) for b in seo_blocks(m)]
+        systems = [eigensolve(b, vectors=False) for b in seo_alpha(m)]
         worst = max(worst, max(abs(w) for w in witten_index(systems, t_grid)))
     for _, _, rep in (abc_report, roberts_report):
         worst = max(worst, max(abs(w) for w in rep.witten_samples))
@@ -178,7 +177,7 @@ def test_criterion_04_pairing_suite():
     worst_dist = 0.0
     violations = []
     for m in pairing_suite():
-        blocks = seo_blocks(m)
+        blocks = seo_alpha(m)
         systems = [eigensolve(b) for b in blocks]
         res = pairing_check(systems, TOL, blocks=blocks)
         total_pairs += len(res["partners"])
@@ -193,8 +192,9 @@ def test_criterion_04_pairing_suite():
 def test_criterion_05_isospectrality_and_adjoint():
     worst_iso = 0.0
     worst_adj = 0.0
-    for m in pairing_suite():
-        H = seo_blocks(m)
+    # the Ito model's time reversal negates its Stratonovich-shifted drift
+    for m in pairing_suite() + [multiplicative_model(alpha=0.0)]:
+        H = seo_alpha(m)
         HT = seo_time_reversed(m)
         sys_h = [eigensolve(b, vectors=False) for b in H]
         sys_t = [eigensolve(b, vectors=False) for b in HT]
@@ -264,21 +264,22 @@ def test_criterion_07_ito_stratonovich():
         vals = density_bin_averages(rho, bins)
         return vals / (vals.mean() * 2 * np.pi)
 
-    rho_ito, rho_strat = stationary(0.0), stationary(0.5)
-    m = multiplicative_model(BasisLayout(1, 4), theta=theta, eps=eps)
+    # the one stepper samples each interpretation's own law
+    rho = {0.0: stationary(0.0), 0.5: stationary(0.5)}
     results = {}
-    for scheme, own in [("euler", rho_ito), ("heun", rho_strat)]:
+    for alpha, other in [(0.0, 0.5), (0.5, 0.0)]:
+        m = multiplicative_model(BasisLayout(1, 4), theta=theta, eps=eps,
+                                 alpha=alpha)
         rng = np.random.default_rng([77, 0])
-        xs = ensemble_states(m, 100000, 0.02, 400, rng, scheme)
+        xs = ensemble_states(m, 100000, 0.02, 400, rng)
         hist = ensemble_density(xs, bins)
-        results[scheme] = (
-            l1_distance(hist, own),
-            l1_distance(hist, rho_strat if scheme == "euler" else rho_ito),
+        results[alpha] = (
+            l1_distance(hist, rho[alpha]), l1_distance(hist, rho[other]),
         )
     ok = all(own <= 0.05 and own < other for own, other in results.values())
     verdict(7, "alpha-interpretation consistency and MC discrimination", ok,
-            f"(fp {worst_fp:.2e}, euler L1 {results['euler'][0]:.3f}, "
-            f"heun L1 {results['heun'][0]:.3f})")
+            f"(fp {worst_fp:.2e}, ito L1 {results[0.0][0]:.3f}, "
+            f"stratonovich L1 {results[0.5][0]:.3f})")
 
 
 def test_criterion_08_mc_vs_operator_evolution(tmp_path):
@@ -300,7 +301,7 @@ def test_criterion_09_kinematic_dynamo(tmp_path, abc_report):
     lay = BasisLayout(3, 2)
     v = abc_field(1.0, 1.0, 1.0)
     kd = kd_operator(v, 0.1, lay)
-    seo = seo_blocks(kd_model(v, 0.1, lay))
+    seo = seo_alpha(kd_model(v, 0.1, lay))
     ident = abs((kd[2].matrix - seo[2].matrix)).max()
     assert ident <= 1e-12
 
@@ -370,7 +371,7 @@ def test_criterion_11_response_probe(abc_report):
     rng = np.random.default_rng(99)
     worst_unbroken = 0.0
     for m in pairing_suite():
-        blocks = seo_blocks(m)
+        blocks = seo_alpha(m)
         systems = [eigensolve(b) for b in blocks]
         g = ground_state(systems, TOL)
         assert abs(g["energy"]) <= 1e-8

@@ -293,6 +293,45 @@ def test_cli_mc_compare_clamped_dt_stays_within_the_stability_bound(
     assert report["checks"]["converged"]
 
 
+@pytest.mark.parametrize("alpha", ["0", "1"])
+def test_cli_mc_compare_steps_the_interpretation_it_is_given(tmp_path, alpha):
+    # e = 1 + 0.3 cos x is multiplicative: the paths must sample the
+    # alpha-interpretation's law, the one the operator density evolves
+    cfg = write_config(tmp_path, _MULT_NOISE_1D)
+    out = tmp_path / "out"
+    code = main(["mc-compare", "--config", cfg, "--out", str(out),
+                 "--alpha", alpha, "--t", "2", "--samples", "100000"])
+    report = json.loads((out / "report.json").read_text())
+    assert code == 0, report["payload"]["l1_distance"]
+    assert report["payload"]["l1_distance"] <= 0.05
+
+
+def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
+        tmp_path, monkeypatch):
+    # with every eigenvalue certified, ABC at N = 2 has a broken-complex
+    # ground state, so cmd_dynamo runs its time-stepping oracle
+    def certify_all(systems, builder, tol):
+        return [np.ones(s.size, bool) for s in systems]
+
+    monkeypatch.setattr(sts.spectral, "convergence_masks", certify_all)
+    doc = {"dimension": 3, "truncation": 2, "theta": 0.08,
+           "flow": {"preset": "abc",
+                    "params": {"A": 1.0, "B": 1.0, "C": 1.0}},
+           "tolerances": {"tol_converge": 1e-2}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["dynamo", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    payload = report["payload"]
+    assert payload["classification"] == "broken-complex"
+    assert report["checks"] == {"converged": True, "growth_rate_2pct": True,
+                                "frequency_5pct": True}
+    oracle, eig = payload["oracle"], payload["eigensolve"]
+    assert eig["gamma"] > 0 and eig["omega"] > 0
+    assert oracle["gamma"] == pytest.approx(eig["gamma"], rel=0.02)
+    assert oracle["omega"] == pytest.approx(eig["omega"], rel=0.05)
+
+
 def test_cli_mc_compare_failure_exit_code(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -445,6 +484,11 @@ _OUT_OF_RANGE = [
     _case("mc-dt-negative", "mc-compare", MINIMAL, "--dt", "-0.01"),
     _case("mc-dt-nan", "mc-compare", MINIMAL, "--dt", "nan"),
     _case("dynamo-steps-0", "dynamo", _ABC, "--steps", "0"),
+    # flags a command never reads are refused: each sweep cell sets its
+    # own theta, and only the spectral pipeline reads the t grid
+    _case("sweep-theta-override", "sweep", _RANDOM_SWEEP, "--theta", "0.7"),
+    _case("evolve-t-grid", "evolve", MINIMAL, "--t-grid", "0.1,1"),
+    _case("mc-compare-t-grid", "mc-compare", MINIMAL, "--t-grid", "0.1,1"),
     # theta is the dynamo's magnetic diffusivity, and its noise is fixed
     _case("dynamo-theta-0", "dynamo", {**_ABC, "theta": 0}),
     _case("dynamo-theta-0-override", "dynamo", _ABC, "--theta", "0"),

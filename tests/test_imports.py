@@ -1,6 +1,7 @@
 """Every module-level import in the sts package and its tests is used by
-its module, and every module-level function or class of the package is
-named somewhere outside its own definition."""
+its module, the package imports only at module level, and every
+module-level function or class of the package is named somewhere outside
+its own definition."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,16 @@ def test_module_level_imports_are_used(path):
         for name, line in _imported_names(tree) if name not in used
     ]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [
+        f"line {n.lineno}" for n in ast.walk(tree)
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and n not in tree.body
+    ]
+    assert not nested, f"{path.name} imports inside a definition: {nested}"
 
 
 def _names(node):

@@ -17,9 +17,10 @@ from sts.operators import (
     langevin_hermitian_blocks,
     lie_matrices,
     seo_alpha,
-    seo_blocks,
     seo_time_reversed,
+    stratonovich,
 )
+from sts.spectral import adjoint_check
 from sts.trig import FlowField, TrigField, identity_frame
 
 from conftest import langevin_cos_model, multiplicative_model, shear_model
@@ -66,14 +67,14 @@ def test_lie_commutes_with_d_exactly():
 
 def test_free_diffusion_spectrum():
     lay = BasisLayout(1, 2)
-    H = seo_blocks(SdeModel(lay, FlowField.zero(1), identity_frame(1), 1.0))
+    H = seo_alpha(SdeModel(lay, FlowField.zero(1), identity_frame(1), 1.0))
     w = np.sort(np.linalg.eigvals(H[0].dense).real)
     assert np.allclose(w, [0, 1, 1, 4, 4], atol=1e-12)
 
 
 def test_constant_drift_spectrum():
     lay = BasisLayout(1, 2)
-    H = seo_blocks(SdeModel(lay, FlowField.constant([1.0]), identity_frame(1), 1.0))
+    H = seo_alpha(SdeModel(lay, FlowField.constant([1.0]), identity_frame(1), 1.0))
     got = sorted_eigs(H[0].dense)
     expect = np.array(sorted([0, 1 + 1j, 1 - 1j, 4 + 2j, 4 - 2j],
                              key=lambda z: (z.real, z.imag)))
@@ -101,11 +102,16 @@ def test_alpha_drift_multiplicative_closed_form():
 
 
 def test_seo_alpha_reduces_to_stratonovich():
+    # alpha enters the operator only through the Stratonovich equivalent
     m = multiplicative_model(alpha=0.5)
-    a = seo_alpha(m)
-    b = seo_blocks(m)
-    for k in range(2):
-        assert abs(a[k].matrix - b[k].matrix).max() == 0.0
+    assert stratonovich(m).drift is m.drift
+    ito = multiplicative_model(alpha=0.0)
+    s = stratonovich(ito)
+    assert s.alpha == 0.5 and s.noise is ito.noise and s.theta == ito.theta
+    expect = alpha_drift(ito.drift, ito.noise, ito.theta, 0.0)
+    assert (s.drift[0] - expect[0]).max_abs() == 0.0
+    for a, b in zip(seo_alpha(ito), seo_alpha(s)):
+        assert abs(a.matrix - b.matrix).max() == 0.0
 
 
 def test_additive_noise_alpha_independent_bit_exact():
@@ -151,11 +157,11 @@ def test_fp_direct_equals_cartan_top_block():
 def test_time_reversal_spectra():
     lay = BasisLayout(1, 4)
     m0 = SdeModel(lay, FlowField.zero(1), identity_frame(1), 0.8)
-    H, HT = seo_blocks(m0), seo_time_reversed(m0)
+    H, HT = seo_alpha(m0), seo_time_reversed(m0)
     for k in range(2):
         assert abs(H[k].matrix - HT[k].matrix).max() == 0.0
     mc = SdeModel(lay, FlowField.constant([1.0]), identity_frame(1), 0.8)
-    H, HT = seo_blocks(mc), seo_time_reversed(mc)
+    H, HT = seo_alpha(mc), seo_time_reversed(mc)
     w = sorted_eigs(H[0].dense)
     wt = sorted_eigs(HT[0].dense)
     assert np.abs(np.conj(w)[np.lexsort((np.conj(w).imag, np.conj(w).real))]
@@ -164,7 +170,7 @@ def test_time_reversal_spectra():
 
 def test_time_reversal_isospectral_to_complementary_degree():
     m = langevin_cos_model()
-    H, HT = seo_blocks(m), seo_time_reversed(m)
+    H, HT = seo_alpha(m), seo_time_reversed(m)
     for k in range(2):
         w = np.sort(np.linalg.eigvals(H[k].dense).real)
         wt = np.sort(np.linalg.eigvals(HT[1 - k].dense).real)
@@ -205,7 +211,7 @@ def test_d_exactness_of_assembled_operators():
         ),
     ]
     for m in models:
-        for blocks in (seo_blocks(m), seo_time_reversed(m)):
+        for blocks in (seo_alpha(m), seo_time_reversed(m)):
             assert max(blocks.d_commutator_residuals()) < 1e-12
 
 
@@ -222,13 +228,16 @@ def test_d_exactness_on_random_models(D, N, n_noise, theta, alpha, seed):
 
     model = SdeModel(BasisLayout(D, N), field(),
                      [field() for _ in range(n_noise)], theta, alpha)
-    for blocks in (seo_alpha(model), seo_time_reversed(model)):
+    H, HT = seo_alpha(model), seo_time_reversed(model)
+    for blocks in (H, HT):
         assert max(blocks.d_commutator_residuals()) <= 1e-12
+    # the adjoint bound of acceptance criterion 5
+    assert max(adjoint_check(H, HT)) <= 1e-10
 
 
 def test_spectra_closed_under_conjugation():
     for m in [shear_model(), multiplicative_model()]:
-        H = seo_blocks(m)
+        H = seo_alpha(m)
         for k in range(m.dimension + 1):
             w = np.linalg.eigvals(H[k].dense)
             for lam in w:
@@ -245,7 +254,7 @@ def test_kd_equals_seo_with_identity_frame():
     for N in (2, 4):
         lay = BasisLayout(3, N)
         kd = kd_operator(v, 0.1, lay)
-        seo = seo_blocks(kd_model(v, 0.1, lay))
+        seo = seo_alpha(kd_model(v, 0.1, lay))
         lap = hodge_laplacian_blocks(lay)
         lie = lie_matrices(v, lay)
         for k in range(4):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sts.layout import BasisLayout, FormVector
-from sts.operators import SdeModel, seo_blocks
+from sts.operators import SdeModel, seo_alpha
 from sts.sde import (
     default_bins,
     density_bin_averages,
@@ -22,9 +22,9 @@ from conftest import langevin_cos_model, multiplicative_model
 TWO_PI = 2.0 * np.pi
 
 
-def endpoint(m, x0, dt, steps, rng, scheme="heun"):
+def endpoint(m, x0, dt, steps, rng):
     """Final state of the single path from x0 (one row of ensemble_states)."""
-    return ensemble_states(m, 1, dt, steps, rng, scheme, x0=[x0])[0]
+    return ensemble_states(m, 1, dt, steps, rng, x0=[x0])[0]
 
 
 def test_trajectory_reruns_bit_identical():
@@ -98,7 +98,6 @@ def test_ito_vs_stratonovich_stationary_laws():
     # dx = sqrt(2 theta) e(x) dW with e = 1 + 0.5 cos x:
     # Stratonovich density ~ 1/e, Ito density ~ 1/e^2
     theta, eps, bins = 0.5, 0.5, 32
-    m = multiplicative_model(BasisLayout(1, 4), theta=theta, eps=eps)
     fine = np.linspace(0.0, TWO_PI, bins * 200, endpoint=False)
     e = 1.0 + eps * np.cos(fine)
 
@@ -107,29 +106,33 @@ def test_ito_vs_stratonovich_stationary_laws():
         return rho.reshape(bins, 200).mean(axis=1)
 
     strat_oracle, ito_oracle = bin_avg(1.0 / e), bin_avg(1.0 / e ** 2)
-    for scheme, own, other in [
-        ("heun", strat_oracle, ito_oracle),
-        ("euler", ito_oracle, strat_oracle),
+    for alpha, own, other in [
+        (0.5, strat_oracle, ito_oracle),
+        (0.0, ito_oracle, strat_oracle),
     ]:
+        m = multiplicative_model(BasisLayout(1, 4), theta=theta, eps=eps,
+                                 alpha=alpha)
         rng = np.random.default_rng([9, 0])
-        xs = ensemble_states(m, 6000, 0.02, 600, rng, scheme)
+        xs = ensemble_states(m, 6000, 0.02, 600, rng)
         hist = ensemble_density(xs, bins)
         assert l1_distance(hist, own) < 0.5 * l1_distance(hist, other)
 
 
 def test_integrate_ito_and_stratonovich_agree_for_additive_noise():
+    # additive noise has no interpretation shift: same noise stream, same path
     m = langevin_cos_model(BasisLayout(1, 4))
-    for steps in range(51):
-        a = endpoint(m, [2.0], 0.02, steps, np.random.default_rng([1, 0]), "euler")
-        b = endpoint(m, [2.0], 0.02, steps, np.random.default_rng([1, 0]))
-        # same noise stream, additive noise: paths differ only at O(dt^2) drift
-        assert np.abs(a - b).max() < 0.05
+    for alpha in (0.0, 1.0):
+        ma = SdeModel(m.layout, m.drift, m.noise, m.theta, alpha)
+        for steps in range(51):
+            a = endpoint(ma, [2.0], 0.02, steps, np.random.default_rng([1, 0]))
+            b = endpoint(m, [2.0], 0.02, steps, np.random.default_rng([1, 0]))
+            assert np.array_equal(a, b)
 
 
 def test_operator_evolution_identity_mass_and_decay():
     theta = 1.0
     lay = BasisLayout(1, 4)
-    blocks = seo_blocks(SdeModel(lay, FlowField.zero(1), identity_frame(1), theta))
+    blocks = seo_alpha(SdeModel(lay, FlowField.zero(1), identity_frame(1), theta))
     psi0 = FormVector.zero(1, lay)
     psi0.set_coefficient((1,), (0,), 1.0 / TWO_PI)
     psi0.set_coefficient((1,), (1,), 0.1)

@@ -6,7 +6,7 @@ from scipy.special import iv
 
 from sts.exterior import OperatorBlock
 from sts.layout import BasisLayout
-from sts.operators import SdeModel, kd_operator, seo_blocks, seo_time_reversed
+from sts.operators import SdeModel, kd_operator, seo_alpha, seo_time_reversed
 from sts.spectral import (
     BROKEN_COMPLEX,
     BROKEN_REAL,
@@ -93,7 +93,7 @@ def test_eigensolve_vectorless():
 
 def free_diffusion_systems(N=2, theta=1.0):
     lay = BasisLayout(1, N)
-    blocks = seo_blocks(
+    blocks = seo_alpha(
         SdeModel(lay, FlowField.zero(1), identity_frame(1), theta)
     )
     return blocks, [eigensolve(b) for b in blocks]
@@ -106,7 +106,7 @@ def test_zero_modes_match_betti():
     assert zm["match"]
 
     lay = BasisLayout(2, 2)
-    blocks = seo_blocks(SdeModel(lay, FlowField.zero(2), identity_frame(2), 1.0))
+    blocks = seo_alpha(SdeModel(lay, FlowField.zero(2), identity_frame(2), 1.0))
     zm = zero_modes([eigensolve(b) for b in blocks], TOL)
     assert zm["counts"] == [1, 2, 1]
 
@@ -138,7 +138,7 @@ def test_partition_slope_recovers_ground_rate():
 
 
 def test_pairing_check_langevin():
-    blocks = seo_blocks(langevin_cos_model())
+    blocks = seo_alpha(langevin_cos_model())
     systems = [eigensolve(b) for b in blocks]
     res = pairing_check(systems, TOL, blocks=blocks)
     assert res["violations"] == []
@@ -211,7 +211,7 @@ def test_ground_state_needs_candidates():
 
 def test_isospectral_time_reversal():
     for m in [multiplicative_model(), shear_model()]:
-        H = seo_blocks(m)
+        H = seo_alpha(m)
         HT = seo_time_reversed(m)
         sys_h = [eigensolve(b, vectors=False) for b in H]
         sys_t = [eigensolve(b, vectors=False) for b in HT]
@@ -220,7 +220,7 @@ def test_isospectral_time_reversal():
 
 def test_adjoint_identity():
     for m in [langevin_cos_model(BasisLayout(1, 8)), shear_model()]:
-        H = seo_blocks(m)
+        H = seo_alpha(m)
         HT = seo_time_reversed(m)
         assert max(adjoint_check(H, HT)) < 1e-12
 
@@ -233,7 +233,7 @@ def test_gibbs_weight_toeplitz_metric_oracle():
     theta = 0.5
     lay = BasisLayout(1, 16)
     m = SdeModel(lay, FlowField([TrigField.sin(1, 0)]), identity_frame(1), theta)
-    A = seo_blocks(m)[0].dense
+    A = seo_alpha(m)[0].dense
     modes = lay.modes()[:, 0]
     eta = np.array([[iv(ki - kj, 1.0 / theta) for kj in modes] for ki in modes])
     R = A.conj().T @ eta - eta @ A
@@ -243,7 +243,7 @@ def test_gibbs_weight_toeplitz_metric_oracle():
 
 def test_expectation_matches_gibbs_average():
     theta = 0.5
-    blocks = seo_blocks(langevin_cos_model(theta=theta))
+    blocks = seo_alpha(langevin_cos_model(theta=theta))
     systems = [eigensolve(b) for b in blocks]
     g = ground_state(systems, TOL)
     assert g["degree"] == 1 and abs(g["energy"]) < 1e-12
@@ -254,7 +254,7 @@ def test_expectation_matches_gibbs_average():
 
 
 def test_expectation_refuses_a_vectorless_system():
-    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
+    blocks = seo_alpha(langevin_cos_model(BasisLayout(1, 8)))
     systems = [eigensolve(b, vectors=False) for b in blocks]
     g = ground_state(systems, TOL)
     with pytest.raises(ValueError):
@@ -269,7 +269,7 @@ def test_targeted_eigenpair_matches_dense():
         FlowField([TrigField.sin(1, 0) + TrigField.sin(1, 0, 0.5, 2)]),
         identity_frame(1), 0.5,
     )
-    blocks = seo_blocks(m)
+    blocks = seo_alpha(m)
     A = blocks[0].dense
     w = np.sort(np.linalg.eigvals(A).real)
     sigma = w[3] + 0.01
@@ -283,7 +283,7 @@ def test_targeted_eigenpair_matches_dense():
 def test_targeted_eigenpair_refuses_a_degenerate_target():
     # every nonzero degree-0 eigenvalue of the cos-potential Langevin
     # model is double; its left and right vectors are then arbitrary
-    blocks = seo_blocks(langevin_cos_model(BasisLayout(1, 8)))
+    blocks = seo_alpha(langevin_cos_model(BasisLayout(1, 8)))
     w = eigensolve(blocks[0]).eigenvalues
     assert abs(w[1] - w[2]) < 1e-12
     with pytest.raises(ValueError):
@@ -292,7 +292,7 @@ def test_targeted_eigenpair_refuses_a_degenerate_target():
 
 def test_convergence_masks_flag_low_modes():
     def builder(lay):
-        return seo_blocks(langevin_cos_model(lay))
+        return seo_alpha(langevin_cos_model(lay))
 
     blocks = builder(BasisLayout(1, 12))
     systems = [eigensolve(b) for b in blocks]
@@ -304,7 +304,7 @@ def test_convergence_masks_flag_low_modes():
 
 def test_analyze_langevin_report():
     def builder(lay):
-        return seo_blocks(langevin_cos_model(lay))
+        return seo_alpha(langevin_cos_model(lay))
 
     rep = analyze(builder(BasisLayout(1, 12)), builder=builder)
     assert rep.classification == UNBROKEN
