@@ -18,6 +18,7 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,32 @@ class BasisLayout:
         k = len(multi_index)
         rank = self.multi_indices(k).index(tuple(multi_index))
         return rank * self.n_modes + int(self.mode_index(kappa))
+
+    def real_basis(self, k):
+        """Sparse unitary U_k of the degree-k block's cos/sin basis.
+
+        Per dx^I channel its columns are e_0, then for each kappa of one
+        half-space the adjacent pair (e_kappa + e_-kappa)/sqrt(2) and
+        i (e_kappa - e_-kappa)/sqrt(2).  The box is symmetric, so kappa
+        maps to -kappa by reversing the mode order.  An operator that
+        maps real forms to real forms has a real matrix U^H A U.
+        """
+        n = self.n_modes
+        half = n // 2
+        plus = np.arange(half + 1, n)
+        cos = 2 * np.arange(half) + 1
+        s = 1.0 / np.sqrt(2.0)
+        rows = np.concatenate([[half], plus, n - 1 - plus, plus, n - 1 - plus])
+        cols = np.concatenate([[0], cos, cos, cos + 1, cos + 1])
+        vals = np.concatenate([[1.0], np.full(2 * half, s),
+                               np.full(half, 1j * s), np.full(half, -1j * s)])
+        offsets = n * np.arange(comb(self.dimension, k))[:, None]
+        size = self.size(k)
+        return sp.csr_matrix(
+            (np.tile(vals, len(offsets)),
+             ((rows + offsets).ravel(), (cols + offsets).ravel())),
+            shape=(size, size),
+        )
 
     def refined(self):
         """Same layout with truncation N + 2 (convergence checks)."""

@@ -29,6 +29,9 @@ BROKEN_COMPLEX = "broken-complex"
 INDETERMINATE = "indeterminate"
 
 _DEFECTIVE_COND = 1e10
+# largest imaginary part a block may keep in its cos/sin basis, relative
+# to its largest real entry: roundoff of real fields' products
+_REAL_TOL = 1e-12
 # up to this dimension blocks are solved with eigenvectors and guarded by a
 # dense refined solve; 3-D advection-dominated blocks have unusable global
 # eigenbases and are too large to re-solve, so they get eigenvalues only
@@ -88,36 +91,61 @@ class EigenSystem:
 
 
 def eigensolve(block, vectors=True):
-    """Dense eigendecomposition of a degree block.
+    """Dense eigendecomposition of a degree block, in real arithmetic.
 
-    Eigenvalues sorted by (Re, Im); each right vector's largest-modulus
-    entry made real positive.  Ill-conditioned eigenbases (condition
-    > 1e10) fall back to the eigenvalues of a Schur decomposition, keep
-    no vectors and are flagged near-defective.  With ``vectors=False``
-    only eigenvalues are computed (advection-dominated 3-D blocks
-    routinely have unusable global eigenbases; use
-    :func:`targeted_eigenpair` for individual states there).
+    The block is solved as the real matrix of its cos/sin basis (see
+    :func:`_real_eig`), so its complex eigenvalues come in exact conjugate
+    pairs.  Eigenvalues sorted by (Re, Im); each right vector's
+    largest-modulus entry made real positive.  Ill-conditioned eigenbases
+    (condition > 1e10) keep their eigenvalues but no vectors and are
+    flagged near-defective.  With ``vectors=False`` only eigenvalues are
+    computed (advection-dominated 3-D blocks routinely have unusable
+    global eigenbases; use :func:`targeted_eigenpair` for individual
+    states there).
     """
-    A = block.dense
-    if not np.all(np.isfinite(A)):
-        raise ValueError("operator block contains non-finite entries")
+    w, W, U = _real_eig(block, vectors)
     V, cond = None, float("nan")
     if vectors:
-        w, V = sla.eig(A)
-        top = V[np.argmax(np.abs(V), axis=0), np.arange(len(w))]
-        V = V / (top / np.abs(top))
-        cond = float(np.linalg.cond(V))
-    else:
-        w = np.linalg.eigvals(A)
+        # U is unitary, so cond(U W) = cond(W)
+        cond = float(np.linalg.cond(W))
+        if cond <= _DEFECTIVE_COND:
+            V = U @ W
+            top = V[np.argmax(np.abs(V), axis=0), np.arange(len(w))]
+            V = V / (top / np.abs(top))
     near_defective = cond > _DEFECTIVE_COND
-    if near_defective:
-        # eigenbasis unusable; report the Schur values and no vectors
-        w, V = np.diag(sla.schur(A.astype(complex), output="complex")[0]), None
     order = np.lexsort((w.imag, w.real))
     return EigenSystem(
         block.k_in, block.layout, w[order], None if V is None else V[:, order],
         condition=cond, near_defective=near_defective,
     )
+
+
+def _real_eig(block, vectors):
+    """Eigenvalues, and right vectors when asked, of a block solved as a
+    real matrix.
+
+    Every drift and noise field is real, so a block maps real forms to
+    real forms, and U^H A U is real for the cos/sin basis U of
+    ``BasisLayout.real_basis``.  Returns ``(w, W, U)``: complex
+    eigenvalues, vectors in that basis (None without vectors) and U.
+    Raises ValueError on non-finite entries, and on a block whose
+    imaginary part there exceeds roundoff, 1e-12 of its largest real
+    entry: one of its fields is then not real.
+    """
+    U = block.layout.real_basis(block.k_in)
+    M = (U.conj().T @ block.matrix @ U).tocsr()
+    if not np.all(np.isfinite(M.data)):
+        raise ValueError("operator block contains non-finite entries")
+    imag = np.abs(M.data.imag).max(initial=0.0)
+    if imag > _REAL_TOL * np.abs(M.data.real).max(initial=0.0):
+        raise ValueError(
+            f"operator block is not real in the cos/sin basis (imaginary "
+            f"part {imag:.3g}): a field is not real")
+    R = M.real.toarray()
+    if not vectors:
+        return np.linalg.eigvals(R).astype(complex), None, U
+    w, W = sla.eig(R)
+    return w, W, U
 
 
 def spectral_radius(systems):
@@ -260,8 +288,9 @@ def classify(systems, tol):
 
     Returns one of "unbroken", "broken-real", "broken-complex" from the
     energy of the :func:`ground_state`, or "indeterminate" when no
-    eigenvalue is certified or a complex ground energy has no conjugate
-    partner.
+    eigenvalue is certified.  :func:`eigensolve` returns complex
+    eigenvalues in exact conjugate pairs, so a complex ground energy is
+    always one member of a resonance pair.
     """
     if not any(s.converged.any() for s in systems):
         return INDETERMINATE
@@ -271,12 +300,6 @@ def classify(systems, tol):
         return UNBROKEN
     if abs(best.imag) <= thr:
         return BROKEN_REAL
-    # conjugate partner must be present for a genuine resonance pair
-    partner = min(
-        abs(s.eigenvalues - np.conj(best)).min() for s in systems if s.size
-    )
-    if partner > tol.tol_pair * max(1.0, abs(best)):
-        return INDETERMINATE
     return BROKEN_COMPLEX
 
 
@@ -431,7 +454,7 @@ def convergence_masks(systems, builder, tol):
     fine = builder(layout.refined())
     if layout.dimension <= _MAX_VECTOR_DIMENSION:
         return [
-            _drift_mask(s.eigenvalues, np.linalg.eigvals(fine[k].dense), tol)
+            _drift_mask(s.eigenvalues, _real_eig(fine[k], vectors=False)[0], tol)
             for k, s in enumerate(systems)
         ]
     m = 12

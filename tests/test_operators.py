@@ -20,7 +20,8 @@ from sts.operators import (
     seo_time_reversed,
     stratonovich,
 )
-from sts.spectral import adjoint_check
+from sts.config import abc_field
+from sts.spectral import adjoint_check, eigensolve, hausdorff_distance
 from sts.trig import FlowField, TrigField, identity_frame
 
 from conftest import langevin_cos_model, multiplicative_model, shear_model
@@ -231,25 +232,58 @@ def test_d_exactness_on_random_models(D, N, n_noise, theta, alpha, seed):
     H, HT = seo_alpha(model), seo_time_reversed(model)
     for blocks in (H, HT):
         assert max(blocks.d_commutator_residuals()) <= 1e-12
+        for b in blocks:
+            real_path_matches_complex_path(b)
     # the adjoint bound of acceptance criterion 5
     assert max(adjoint_check(H, HT)) <= 1e-10
 
 
+def real_path_matches_complex_path(block):
+    """The block is real in its cos/sin basis within the roundoff bound
+    eigensolve enforces, and the real solve finds the complex solve's
+    spectrum to 1e-12 max(1, spectral radius).
+
+    An eigenvalue the two solves place further apart than that must be
+    ill-conditioned: it is then an exact eigenvalue of a block within
+    that bound of this one (smallest singular value of A - lam).
+    """
+    U = block.layout.real_basis(block.k_in)
+    M = (U.conj().T @ block.matrix @ U).tocsr()
+    assert (np.abs(M.data.imag).max(initial=0.0)
+            <= 1e-12 * np.abs(M.data.real).max(initial=0.0))
+    A = block.dense
+    w = eigensolve(block, vectors=False).eigenvalues
+    ref = np.linalg.eigvals(A)
+    bound = 1e-12 * max(1.0, float(np.abs(ref).max()))
+    assert len(w) == len(ref)
+    eye = np.eye(len(A))
+    for lam in w:
+        if np.min(np.abs(ref - lam)) > bound:
+            assert np.linalg.svd(A - lam * eye, compute_uv=False)[-1] <= bound
+
+
 def test_spectra_closed_under_conjugation():
-    for m in [shear_model(), multiplicative_model()]:
-        H = seo_alpha(m)
-        for k in range(m.dimension + 1):
-            w = np.linalg.eigvals(H[k].dense)
+    models = [
+        (seo_alpha(shear_model()), True),
+        (seo_alpha(multiplicative_model(alpha=0.2)), True),
+        (kd_operator(abc_field(1.0, 1.0, 1.0), 0.08, BasisLayout(3, 2)), False),
+    ]
+    for H, vectors in models:
+        for b in H:
+            w = np.linalg.eigvals(b.dense)
             for lam in w:
                 assert np.min(np.abs(w - np.conj(lam))) < 1e-8
+            # the real-arithmetic solve pairs them exactly, and finds the
+            # complex solve's spectrum
+            e = eigensolve(b, vectors=vectors).eigenvalues
+            assert np.array_equal(np.sort_complex(e.conj()), np.sort_complex(e))
+            assert hausdorff_distance(e, w) <= 1e-12 * max(1.0, np.abs(w).max())
 
 
 def test_kd_equals_seo_with_identity_frame():
     # the dynamo generator is assembled as the evolution operator of
     # kd_model; it must equal L_v + eta Delta_H with the Laplacian built
     # independently from the codifferential, bit for bit
-    from sts.config import abc_field
-
     v = abc_field(1.0, 1.0, 1.0)
     for N in (2, 4):
         lay = BasisLayout(3, N)

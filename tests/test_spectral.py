@@ -37,11 +37,13 @@ from conftest import langevin_cos_model, multiplicative_model, shear_model
 TOL = Tolerances()
 
 
-def diag_block(values, layout=None):
+def real_block(R, layout=None):
+    """Degree-0 block U R U^H of a real matrix R in the cos/sin basis U."""
     import scipy.sparse as sp
 
-    layout = layout or BasisLayout(1, (len(values) - 1) // 2)
-    return OperatorBlock(0, 0, layout, sp.diags(np.asarray(values, complex)).tocsr())
+    layout = layout or BasisLayout(1, (len(R) - 1) // 2)
+    U = layout.real_basis(0)
+    return OperatorBlock(0, 0, layout, U @ sp.csr_matrix(R) @ U.conj().T)
 
 
 def fake_system(values, degree=0, dimension=1):
@@ -53,19 +55,21 @@ def fake_system(values, degree=0, dimension=1):
 
 
 def test_eigensolve_diagonal():
-    sys = eigensolve(diag_block([4.0, 0.0, 1.0, 3.0, 2.0]))
+    sys = eigensolve(real_block(np.diag([4.0, 0.0, 1.0, 3.0, 2.0])))
     assert np.allclose(sys.eigenvalues, [0, 1, 2, 3, 4])
     # phase gauge: largest entry real positive
-    assert np.allclose(sys.right.max(axis=0), 1.0)
+    V = sys.right
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    assert np.all(top.imag == 0) and np.all(top.real > 0)
 
 
 def test_eigensolve_falls_back_to_schur_on_a_jordan_block():
     import scipy.sparse as sp
 
     layout = BasisLayout(1, 1)
-    jordan = np.array([[1, 1, 0], [0, 1, 0], [0, 0, -1]], complex)
-    blocks = [OperatorBlock(0, 0, layout, sp.csr_matrix(jordan)),
-              OperatorBlock(1, 1, layout, sp.diags([2.0 + 0j, -1.0, 1.0]).tocsr())]
+    jordan = np.array([[1, 1, 0], [0, 1, 0], [0, 0, -1]], float)
+    blocks = [real_block(jordan, layout),
+              OperatorBlock(1, 1, layout, sp.diags([2.0 + 0j, -1.0, 2.0]).tocsr())]
     sys = eigensolve(blocks[0])
     assert sys.near_defective and not sys.has_vectors
     assert np.allclose(sys.eigenvalues, [-1, 1, 1])  # sorted by (Re, Im)
@@ -76,17 +80,27 @@ def test_eigensolve_falls_back_to_schur_on_a_jordan_block():
 
 def test_eigensolve_reconstructs_random_matrix():
     rng = np.random.default_rng(7)
-    import scipy.sparse as sp
-
-    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    block = OperatorBlock(0, 0, BasisLayout(1, 3), sp.csr_matrix(A))
+    A = rng.standard_normal((7, 7))
+    block = real_block(A, BasisLayout(1, 3))
     sys = eigensolve(block)
     recon = sys.right @ np.diag(sys.eigenvalues) @ np.linalg.inv(sys.right)
-    assert np.abs(recon - A).max() < 1e-9
+    assert np.abs(recon - block.dense).max() < 1e-9
+
+
+def test_eigensolve_refuses_a_block_that_is_not_real():
+    # a block of a complex field: no cos/sin basis makes it real
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    block = OperatorBlock(0, 0, BasisLayout(1, 3), sp.csr_matrix(A))
+    for vectors in (True, False):
+        with pytest.raises(ValueError, match="not real"):
+            eigensolve(block, vectors=vectors)
 
 
 def test_eigensolve_vectorless():
-    sys = eigensolve(diag_block([2.0, 1.0, 0.0]), vectors=False)
+    sys = eigensolve(real_block(np.diag([2.0, 1.0, 0.0])), vectors=False)
     assert not sys.has_vectors
     assert np.allclose(sys.eigenvalues, [0, 1, 2])
 
@@ -166,8 +180,6 @@ def test_classify_broken_real():
 def test_classify_broken_complex_needs_conjugate_partner():
     pair = [fake_system([-0.2 + 0.7j, -0.2 - 0.7j, 0.0, 1.0])]
     assert classify(pair, TOL) == BROKEN_COMPLEX
-    lone = [fake_system([-0.2 + 0.7j, 0.0, 1.0])]
-    assert classify(lone, TOL) == INDETERMINATE
 
 
 def test_classify_uses_converged_eigenvalues_only():
