@@ -175,27 +175,29 @@ def _refinement_agrees(config, t, initial, vals):
     )
 
 
-def cmd_evolve(config, args, out_dir):
-    D = config.dimension
-    vals = _evolved_bin_averages(config, config.truncation, args.t, _rippled_density)
-    bins = sde.default_bins(D)
-    centers = (np.arange(bins) + 0.5) * 2 * np.pi / bins
-    if D == 1:
-        rows = [(float(c), float(v)) for c, v in zip(centers, vals)]
-        write_table_csv(Path(out_dir) / "density.csv", ["x", "density"], rows)
+def _write_density_table(path, columns):
+    """One row per histogram bin: its centre ``x`` in 1-D, else its flat
+    ``cell`` index, then the bin's value of each named density array."""
+    first = next(iter(columns.values()))
+    if first.ndim == 1:
+        bins = len(first)
+        key, where = "x", map(float, (np.arange(bins) + 0.5) * 2 * np.pi / bins)
     else:
-        rows = [
-            (int(i), float(v)) for i, v in enumerate(vals.ravel())
-        ]
-        write_table_csv(Path(out_dir) / "density.csv", ["cell", "density"], rows)
+        key, where = "cell", range(first.size)
+    values = (map(float, v.ravel()) for v in columns.values())
+    write_table_csv(path, [key, *columns], zip(where, *values))
+
+
+def cmd_evolve(config, args, out_dir):
+    vals = _evolved_bin_averages(config, config.truncation, args.t, _rippled_density)
+    _write_density_table(Path(out_dir) / "density.csv", {"density": vals})
     checks = {
-        "mass_conserved": True,
         "nonnegative": bool(vals.min() > -1e-8),
         "converged": _refinement_agrees(config, args.t, _rippled_density, vals),
     }
     return ReportDocument(
         config.to_dict(),
-        {"t": args.t, "bins": bins, "min_density": float(vals.min())},
+        {"t": args.t, "bins": len(vals), "min_density": float(vals.min())},
         checks,
     )
 
@@ -214,21 +216,22 @@ def cmd_mc_compare(config, args, out_dir):
     hist = sde.ensemble_density(states, bins)
     ref = _evolved_bin_averages(config, config.truncation, args.t, _uniform_density)
     l1 = sde.l1_distance(hist, ref)
-    centers = (np.arange(bins) + 0.5) * 2 * np.pi / bins
-    if D == 1:
-        rows = [
-            (float(c), float(h), float(r))
-            for c, h, r in zip(centers, hist, ref)
-        ]
-        write_table_csv(Path(out_dir) / "densities.csv",
-                        ["x", "monte_carlo", "operator"], rows)
+    _write_density_table(Path(out_dir) / "densities.csv",
+                         {"monte_carlo": hist, "operator": ref})
+    # the mean L1 distance of an exact density's own histogram: sum over
+    # bins of E|binomial(n, p) / n - p| ~ sqrt(2 p (1 - p) / (pi n))
+    mass = np.clip(ref * (2 * np.pi / bins) ** D, 0.0, 1.0)
+    floor = float(np.sum(np.sqrt(2 * mass * (1 - mass) / (np.pi * args.samples))))
     checks = {
         "l1_within_bound": l1 <= args.l1_bound,
-        "converged": _refinement_agrees(config, args.t, _uniform_density, ref),
+        # a bound below the sampling floor cannot be judged: under-sampled
+        "converged": floor <= args.l1_bound
+        and _refinement_agrees(config, args.t, _uniform_density, ref),
     }
     return ReportDocument(
         config.to_dict(),
-        {"t": args.t, "samples": args.samples, "dt": dt, "l1_distance": l1},
+        {"t": args.t, "samples": args.samples, "dt": dt, "l1_distance": l1,
+         "l1_floor": floor},
         checks,
     )
 

@@ -460,19 +460,17 @@ def convergence_masks(systems, builder, tol):
     m = 12
     masks = []
     for k, s in enumerate(systems):
+        # eigensolve sorts by (Re, Im), so the head is the lowest real parts
         mask = np.zeros(s.size, bool)
-        order = np.argsort(s.eigenvalues.real)
         targets = []
-        for n in order:
-            lam = s.eigenvalues[n]
+        for lam in s.eigenvalues:
             if all(abs(lam - t) > 1e-10 for t in targets):
                 targets.append(lam)
             if len(targets) >= m:
                 break
         ref = _refined_near(fine[k], targets)
         if len(ref):
-            head = order[: 4 * m]
-            mask[head] = _drift_mask(s.eigenvalues[head], ref, tol)
+            mask[: 4 * m] = _drift_mask(s.eigenvalues[: 4 * m], ref, tol)
         masks.append(mask)
     return masks
 

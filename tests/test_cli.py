@@ -332,16 +332,40 @@ def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
     assert oracle["omega"] == pytest.approx(eig["omega"], rel=0.05)
 
 
-def test_cli_mc_compare_failure_exit_code(tmp_path):
+def test_cli_mc_compare_failure_exit_code(tmp_path, monkeypatch):
+    # every path at one point: an L1 distance of about 2, far above both
+    # the bound and the sampling floor, so the check can judge it
+    def one_point(model, n_traj, dt, steps, rng, x0=None):
+        return np.full((n_traj, model.dimension), 1.0)
+
+    monkeypatch.setattr(sts.sde, "ensemble_states", one_point)
     cfg = write_config(tmp_path, MINIMAL)
     out = tmp_path / "out"
-    code = main([
-        "mc-compare", "--config", cfg, "--out", str(out),
-        "--t", "0.5", "--samples", "2000", "--l1-bound", "1e-6",
-    ])
+    code = main(["mc-compare", "--config", cfg, "--out", str(out),
+                 "--t", "0.5"])
     assert code == 4
     report = json.loads((out / "report.json").read_text())
-    assert report["checks"]["l1_within_bound"] is False
+    assert report["checks"] == {"l1_within_bound": False, "converged": True}
+    payload = report["payload"]
+    assert payload["l1_floor"] < 0.05 < 1.9 < payload["l1_distance"]
+
+
+def test_cli_mc_compare_under_sampled_exits_3(tmp_path):
+    # the 2-D diffusion density is exactly uniform, yet the sampling noise
+    # of 1e5 paths in 32^2 bins alone is above the default bound of 0.05
+    doc = {"dimension": 2, "truncation": 2, "theta": 0.5,
+           "flow": {"preset": "diffusion"}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["mc-compare", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["converged"] is False
+    payload = report["payload"]
+    assert payload["l1_floor"] > 0.05
+    assert payload["l1_distance"] == pytest.approx(payload["l1_floor"], rel=0.1)
+    rows = (out / "densities.csv").read_text().strip().split("\n")
+    assert rows[0].strip() == "cell,monte_carlo,operator"
+    assert len(rows) == 1 + 32 ** 2
 
 
 def test_cli_mc_compare_unresolved_density_exits_3(tmp_path):

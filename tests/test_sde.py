@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from sts.exterior import OperatorBlock
 from sts.layout import BasisLayout, FormVector
 from sts.operators import SdeModel, seo_alpha
 from sts.sde import (
@@ -15,9 +17,10 @@ from sts.sde import (
     max_stable_dt,
     operator_evolve_density,
 )
+from sts.spectral import eigensolve
 from sts.trig import FlowField, TrigField, identity_frame
 
-from conftest import langevin_cos_model, multiplicative_model
+from conftest import langevin_cos_model, multiplicative_model, random_flow_model
 
 TWO_PI = 2.0 * np.pi
 
@@ -150,6 +153,63 @@ def test_operator_evolution_identity_mass_and_decay():
     wrong = FormVector.zero(0, lay)
     with pytest.raises(ValueError):
         operator_evolve_density(blocks[1], wrong, 1.0)
+
+
+def test_operator_evolution_matches_the_eigen_propagator():
+    # a random 2-D flow's top block is non-normal and far from diagonal
+    blocks = seo_alpha(random_flow_model(3))
+    top = blocks[2]
+    assert np.count_nonzero(top.dense - np.diag(np.diag(top.dense))) > 100
+    psi0 = FormVector.zero(2, top.layout)
+    psi0.set_coefficient((1, 2), (0, 0), 1.0 / TWO_PI ** 2)
+    psi0.set_coefficient((1, 2), (1, -1), 0.02 + 0.01j)
+    psi0.set_coefficient((1, 2), (-1, 1), 0.02 - 0.01j)
+    sys = eigensolve(top)
+    V, w = sys.right, sys.eigenvalues
+    for t in (0.3, 1.0):
+        expect = V @ (np.exp(-w * t) * np.linalg.solve(V, psi0.coeffs))
+        got = operator_evolve_density(top, psi0, t).coeffs
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_operator_evolution_of_a_jordan_pair_conserves_mass():
+    # the kappa = +-1 modes form one Jordan block of eigenvalue 0.5, which
+    # has no eigenvector basis; exp(-tJ) = e^{-t/2} [[1, -t], [0, 1]]
+    lay = BasisLayout(1, 1)
+    A = np.zeros((3, 3))
+    A[0, 0] = A[2, 2] = 0.5
+    A[0, 2] = 1.0
+    block = OperatorBlock(1, 1, lay, sp.csr_matrix(A))
+    psi0 = FormVector(1, lay, [0.1, 1.0 / TWO_PI, 0.1])
+    t = 2.0
+    out = operator_evolve_density(block, psi0, t)
+    assert out.coeffs[1] == pytest.approx(1.0 / TWO_PI, rel=1e-14)
+    decay = np.exp(-0.5 * t)
+    assert out.coeffs[0] == pytest.approx(decay * (0.1 - t * 0.1), rel=1e-12)
+    assert out.coeffs[2] == pytest.approx(decay * 0.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [(2, -1), (1, 0, 2)])
+def test_density_bin_averages_of_one_mode_per_axis(kappa):
+    # a different wavevector on each axis catches transposed bin axes
+    D, bins = len(kappa), 5
+    lay = BasisLayout(D, 2)
+    psi = FormVector.zero(D, lay)
+    c = 0.3 - 0.4j
+    psi.set_coefficient(tuple(range(1, D + 1)), kappa, c)
+    avg = density_bin_averages(psi, bins)
+    assert avg.shape == (bins,) * D
+    h = TWO_PI / bins
+    lo = np.arange(bins) * h
+    per_axis = [
+        np.ones(bins) if k == 0
+        else (np.exp(1j * k * (lo + h)) - np.exp(1j * k * lo)) / (1j * k * h)
+        for k in kappa
+    ]
+    exact = c * per_axis[0]
+    for f in per_axis[1:]:
+        exact = np.multiply.outer(exact, f)
+    assert np.abs(avg - exact.real).max() < 1e-14
 
 
 def test_density_bin_averages_exact():
