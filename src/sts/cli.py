@@ -74,20 +74,20 @@ def _check_dynamo(config):
 
 
 def run_pipeline(config, builder):
-    """Assemble the blocks ``builder(config)`` gives, eigensolve them
-    under the refinement guard and post-process them."""
+    """Eigensolve the blocks ``builder(config)`` gives under the refinement
+    guard; returns the eigensystems, their pairing check and the report
+    payload."""
     build = builder(config)
+    tol = config.tolerances
     blocks = build(BasisLayout(config.dimension, config.truncation))
-    rep = spectral.analyze(blocks, builder=build, tol=config.tolerances,
-                           t_grid=config.t_grid)
-    return blocks, rep
+    systems = spectral.analyze(blocks, build, tol)
+    pairing = spectral.pairing_check(systems, tol, blocks=blocks)
+    return systems, pairing, spectral.report(systems, pairing, tol, config.t_grid)
 
 
-def _base_outputs(config, rep, out_dir, extra_payload=None, checks=None):
-    payload = rep.to_dict()
-    if extra_payload:
-        payload.update(extra_payload)
-    doc = ReportDocument(config.to_dict(), payload, checks or {})
+def _base_outputs(config, payload, out_dir):
+    """Write the eigenvalue and trace tables of ``payload``; returns its
+    report document, to which commands add their fields and checks."""
     write_eigenvalue_csv(Path(out_dir) / "eigenvalues.csv", payload["spectra"])
     rows = [
         (t, w[0], w[1], z[0], z[1])
@@ -99,40 +99,38 @@ def _base_outputs(config, rep, out_dir, extra_payload=None, checks=None):
     write_table_csv(
         Path(out_dir) / "traces.csv", ["t", "w_re", "w_im", "z_re", "z_im"], rows
     )
-    return doc
+    return ReportDocument(config.to_dict(), payload)
 
 
 def cmd_spectrum(config, args, out_dir):
-    _, rep = run_pipeline(config, _seo_builder)
-    ok = rep.classification != spectral.INDETERMINATE
-    return _base_outputs(config, rep, out_dir, checks={"converged": ok})
+    _, _, payload = run_pipeline(config, _seo_builder)
+    doc = _base_outputs(config, payload, out_dir)
+    doc.checks["converged"] = payload["classification"] != spectral.INDETERMINATE
+    return doc
 
 
 def cmd_witten(config, args, out_dir):
-    _, rep = run_pipeline(config, _seo_builder)
-    worst = max(abs(v) for v in rep.witten_samples)
-    return _base_outputs(
-        config, rep, out_dir,
-        extra_payload={"witten_max_abs": worst},
-        checks={"witten_zero": worst <= _WITTEN_BOUND},
-    )
+    _, _, payload = run_pipeline(config, _seo_builder)
+    doc = _base_outputs(config, payload, out_dir)
+    worst = max(abs(complex(*w)) for w in payload["witten"]["w"])
+    payload["witten_max_abs"] = worst
+    doc.checks["witten_zero"] = worst <= _WITTEN_BOUND
+    return doc
 
 
 def cmd_pair(config, args, out_dir):
-    _, rep = run_pipeline(config, _seo_builder)
-    pairing = rep.pairing
+    _, pairing, payload = run_pipeline(config, _seo_builder)
+    doc = _base_outputs(config, payload, out_dir)
     # vectorless systems (3-D) get only the even/odd multiset comparison
-    per_state = pairing["violations"] is not None
-    detail = {
-        "pairs": len(pairing["partners"]) if per_state else None,
-        "violations": len(pairing["violations"]) if per_state else None,
-        "even_odd_distance": pairing["even_odd_distance"],
+    partners, distance = pairing["partners"], pairing["even_odd_distance"]
+    payload["pairing_detail"] = {
+        "pairs": None if partners is None else len(partners),
+        "violations": payload["pairing_violations"],
+        "even_odd_distance": distance,
     }
-    ok = (not pairing["violations"]
-          and pairing["even_odd_distance"] <= rep.tolerances.tol_pair)
-    return _base_outputs(config, rep, out_dir,
-                         extra_payload={"pairing_detail": detail},
-                         checks={"pairing": ok})
+    doc.checks["pairing"] = (not pairing["violations"]
+                             and distance <= config.tolerances.tol_pair)
+    return doc
 
 
 def _uniform_density(layout):
@@ -238,12 +236,13 @@ def cmd_mc_compare(config, args, out_dir):
 
 def cmd_dynamo(config, args, out_dir):
     _check_dynamo(config)
-    blocks, rep = run_pipeline(config, _kd_builder)
-    checks = {"converged": rep.classification != spectral.INDETERMINATE}
-    extra = {}
-    if rep.classification in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):
+    systems, _, payload = run_pipeline(config, _kd_builder)
+    doc = _base_outputs(config, payload, out_dir)
+    label = payload["classification"]
+    doc.checks["converged"] = label != spectral.INDETERMINATE
+    if label in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):
         flow = build_flow(config)
-        layout = blocks.layout
+        layout = systems[0].layout
         rng = np.random.default_rng([config.seed, 1])
         b0 = FormVector(2, layout, rng.standard_normal(layout.size(2)) + 0j)
         n = layout.n_modes
@@ -252,17 +251,14 @@ def cmd_dynamo(config, args, out_dir):
         gamma, omega = sde.induction_timestep_oracle(
             flow, config.theta, b0, args.dt, args.steps
         )
-        e_g = rep.ground["energy"]
-        gamma_eig, omega_eig = -e_g.real, abs(e_g.imag)
-        checks["growth_rate_2pct"] = abs(gamma - gamma_eig) <= 0.02 * abs(gamma_eig)
-        checks["frequency_5pct"] = (
+        gamma_eig, omega_eig = -payload["ground"]["re"], abs(payload["ground"]["im"])
+        doc.checks["growth_rate_2pct"] = abs(gamma - gamma_eig) <= 0.02 * abs(gamma_eig)
+        doc.checks["frequency_5pct"] = (
             abs(omega - omega_eig) <= 0.05 * max(omega_eig, 1e-6)
         )
-        extra = {
-            "oracle": {"gamma": gamma, "omega": omega},
-            "eigensolve": {"gamma": gamma_eig, "omega": omega_eig},
-        }
-    return _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
+        payload["oracle"] = {"gamma": gamma, "omega": omega}
+        payload["eigensolve"] = {"gamma": gamma_eig, "omega": omega_eig}
+    return doc
 
 
 def cmd_langevin_check(config, args, out_dir):
@@ -276,18 +272,16 @@ def cmd_langevin_check(config, args, out_dir):
     # guarded at least that strictly
     tol = replace(config.tolerances,
                   tol_converge=min(config.tolerances.tol_converge, 1e-8))
-    blocks, rep = run_pipeline(replace(config, tolerances=tol), _seo_builder)
-    layout = blocks.layout
+    systems, _, payload = run_pipeline(replace(config, tolerances=tol), _seo_builder)
+    layout = systems[0].layout
 
     def hu_builder(lay):
         return langevin_hermitian_blocks(potential, config.theta, lay)
 
-    hu_systems = [spectral.eigensolve(b, vectors=False)
-                  for b in hu_builder(layout)]
-    hu_masks = spectral.convergence_masks(hu_systems, hu_builder, tol)
-    radius = spectral.spectral_radius(rep.systems)
-    h_conv = [s.eigenvalues[s.converged] for s in rep.systems]
-    hu_conv = [s.eigenvalues[m] for s, m in zip(hu_systems, hu_masks)]
+    hu_systems = spectral.analyze(hu_builder(layout), hu_builder, tol, vectors=False)
+    radius = spectral.spectral_radius(systems)
+    h_conv = [s.eigenvalues[s.converged] for s in systems]
+    hu_conv = [s.eigenvalues[s.converged] for s in hu_systems]
     imag_worst = max(
         (float(np.max(np.abs(v.imag))) if len(v) else 0.0) for v in h_conv
     )
@@ -296,19 +290,19 @@ def cmd_langevin_check(config, args, out_dir):
         for lam in h_conv[k]:
             gap = float(np.min(np.abs(hu_conv[k] - lam)))
             match_worst = max(match_worst, gap / max(1.0, abs(lam)))
-    checks = {
+    # the user's config; the payload keeps the stricter tolerances
+    doc = _base_outputs(config, payload, out_dir)
+    doc.checks.update({
         "spectrum_real": imag_worst <= 1e-8 * max(radius, 1.0),
         "matches_hermitian_oracle": match_worst <= 1e-8,
-        "unbroken": rep.classification == spectral.UNBROKEN,
+        "unbroken": payload["classification"] == spectral.UNBROKEN,
+    })
+    payload["langevin"] = {
+        "max_imag": imag_worst,
+        "oracle_mismatch": match_worst,
+        "converged_counts": [int(len(v)) for v in h_conv],
     }
-    extra = {
-        "langevin": {
-            "max_imag": imag_worst,
-            "oracle_mismatch": match_worst,
-            "converged_counts": [int(len(v)) for v in h_conv],
-        }
-    }
-    return _base_outputs(config, rep, out_dir, extra_payload=extra, checks=checks)
+    return doc
 
 
 def _sweep_cell(config, theta, value):
@@ -316,15 +310,19 @@ def _sweep_cell(config, theta, value):
     params[config.sweep["parameter"]] = value
     flow = dict(config.flow)
     flow["params"] = params
-    cell_cfg = replace(config, theta=theta, flow=flow, sweep=None)
+    build = _seo_builder(replace(config, theta=theta, flow=flow, sweep=None))
+    tol = config.tolerances
+    # a cell prints only its verdict, which needs no eigenvectors
     try:
-        _, rep = run_pipeline(cell_cfg, _seo_builder)
+        blocks = build(BasisLayout(config.dimension, config.truncation))
+        systems = spectral.analyze(blocks, build, tol, vectors=False)
     except (FloatingPointError, np.linalg.LinAlgError):
         return (theta, value, spectral.INDETERMINATE, "", "", "false")
-    if rep.ground is None:
-        return (theta, value, rep.classification, "", "", "false")
-    e = rep.ground["energy"]
-    return (theta, value, rep.classification,
+    label = spectral.classify(systems, tol)
+    if label == spectral.INDETERMINATE:
+        return (theta, value, label, "", "", "false")
+    e = spectral.ground_state(systems, tol)["energy"]
+    return (theta, value, label,
             repr(float(e.real)), repr(float(e.imag)), "true")
 
 

@@ -49,8 +49,8 @@ class ReportDocument:
 def write_eigenvalue_csv(path, spectra):
     """Eigenvalue table with columns degree,index,re,im,converged.
 
-    ``spectra`` is the per-degree list of row dicts from
-    SpectralReport.to_dict()["spectra"].
+    ``spectra`` is the per-degree list of row dicts of a
+    ``spectral.report`` payload's ``"spectra"``.
     """
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -198,8 +198,7 @@ def partition_slope(systems, ground_energy):
     T = 3.0 / re if re > 0 else 3.0
     t = np.linspace(T, 2.0 * T, 25)
     z = np.array([abs(v) for v in partition_function(systems, t)])
-    slope = np.polyfit(t, np.log(z), 1)[0]
-    return float(slope), (float(T), float(2 * T))
+    return float(np.polyfit(t, np.log(z), 1)[0])
 
 
 def pairing_check(systems, tol, *, blocks):
@@ -476,11 +475,8 @@ def convergence_masks(systems, builder, tol):
 
 
 def _drift_mask(base, refined, tol):
-    mask = np.zeros(len(base), bool)
-    for n, lam in enumerate(base):
-        if np.min(np.abs(refined - lam)) <= tol.tol_converge * max(1.0, abs(lam)):
-            mask[n] = True
-    return mask
+    drift = np.min(np.abs(refined[None, :] - base[:, None]), axis=1)
+    return drift <= tol.tol_converge * np.maximum(1.0, np.abs(base))
 
 
 def _refined_near(block, targets):
@@ -503,100 +499,70 @@ def _refined_near(block, targets):
 # -- the full pipeline ---------------------------------------------------------
 
 
-@dataclass
-class SpectralReport:
-    """Everything the spectral pipeline knows about one operator family."""
-
-    systems: list = field(repr=False)
-    zero_mode_summary: dict = None
-    pairing: dict = None
-    witten_samples: list = None
-    witten_t_grid: list = None
-    partition_samples: list = None
-    partition_slope: float = None
-    classification: str = INDETERMINATE
-    ground: dict = None
-    tolerances: Tolerances = None
-    near_defective: bool = False
-
-    def to_dict(self):
-        """JSON-serializable summary (spectra included per degree)."""
-        spectra = []
-        for k, s in enumerate(self.systems):
-            spectra.append(
-                [
-                    {
-                        "degree": k,
-                        "index": n,
-                        "re": float(s.eigenvalues[n].real),
-                        "im": float(s.eigenvalues[n].imag),
-                        "converged": bool(s.converged[n]),
-                    }
-                    for n in range(s.size)
-                ]
-            )
-        violations = self.pairing["violations"]
-        ground = None
-        if self.ground is not None:
-            ground = {
-                "degree": self.ground["degree"],
-                "index": self.ground["index"],
-                "re": float(self.ground["energy"].real),
-                "im": float(self.ground["energy"].imag),
-            }
-        return {
-            "spectra": spectra,
-            "zero_modes": self.zero_mode_summary,
-            "pairing_violations": None if violations is None else len(violations),
-            "even_odd_distance": self.pairing["even_odd_distance"],
-            "witten": {
-                "t": self.witten_t_grid,
-                "w": [[v.real, v.imag] for v in self.witten_samples],
-            },
-            "partition": {
-                "t": self.witten_t_grid,
-                "z": [[v.real, v.imag] for v in self.partition_samples],
-                "slope": self.partition_slope,
-            },
-            "classification": self.classification,
-            "ground": ground,
-            "near_defective": self.near_defective,
-            "tolerances": asdict(self.tolerances),
-        }
-
-
-def analyze(blocks, builder=None, tol=None, t_grid=(0.1, 1.0, 10.0)):
-    """Run the full spectral pipeline on a family of degree blocks.
+def analyze(blocks, builder=None, tol=None, vectors=True):
+    """Eigensolve a family of degree blocks under the refinement guard.
 
     ``builder(layout) -> SeoBlocks`` re-assembles the same operator on a
-    refined layout for the spectral-pollution guard; when omitted every
-    eigenvalue is trusted.  3-D blocks are solved for eigenvalues only
-    (see ``_MAX_VECTOR_DIMENSION``), so they get eigenvalue-based
-    diagnostics and no per-state pairing check.
+    refined layout for the spectral-pollution guard, which stores its
+    certifications on each system's ``converged``; when omitted every
+    eigenvalue is trusted.  Right vectors are computed when ``vectors``
+    is true and the dimension is at most ``_MAX_VECTOR_DIMENSION``; a
+    caller that needs only eigenvalues (a verdict, an oracle spectrum)
+    passes False.  Returns the list of :class:`EigenSystem`, one per
+    degree.
     """
     tol = tol or Tolerances()
-    vectors = blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
+    vectors = vectors and blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
     systems = [eigensolve(b, vectors=vectors) for b in blocks]
     if builder is not None:
         for s, mask in zip(systems, convergence_masks(systems, builder, tol)):
             s.converged = mask
+    return systems
+
+
+def report(systems, pairing, tol, t_grid):
+    """The JSON-serializable report payload of guarded eigensystems.
+
+    ``pairing`` is the :func:`pairing_check` result of the same systems.
+    The payload lists every eigenvalue per degree with its certification,
+    and holds the zero-mode and pairing summaries, the Witten and
+    partition trace samples on ``t_grid``, the classification, its
+    ground state (null when indeterminate), the partition slope (fitted
+    only on a broken verdict) and the tolerances.
+    """
     label = classify(systems, tol)
-    ground = None
-    slope = None
+    ground = slope = None
     if label != INDETERMINATE:
-        ground = ground_state(systems, tol)
+        g = ground_state(systems, tol)
+        e = g["energy"]
+        ground = {"degree": g["degree"], "index": g["index"],
+                  "re": float(e.real), "im": float(e.imag)}
         if label in (BROKEN_REAL, BROKEN_COMPLEX):
-            slope, _ = partition_slope(systems, ground["energy"])
-    return SpectralReport(
-        systems=systems,
-        zero_mode_summary=zero_modes(systems, tol),
-        pairing=pairing_check(systems, tol, blocks=blocks),
-        witten_samples=witten_index(systems, t_grid),
-        witten_t_grid=list(t_grid),
-        partition_samples=partition_function(systems, t_grid),
-        partition_slope=slope,
-        classification=label,
-        ground=ground,
-        tolerances=tol,
-        near_defective=any(s.near_defective for s in systems),
-    )
+            slope = partition_slope(systems, e)
+    spectra = [
+        [{"degree": k, "index": n, "re": float(lam.real), "im": float(lam.imag),
+          "converged": bool(ok)}
+         for n, (lam, ok) in enumerate(zip(s.eigenvalues, s.converged))]
+        for k, s in enumerate(systems)
+    ]
+    violations = pairing["violations"]
+    t_grid = list(t_grid)
+    return {
+        "spectra": spectra,
+        "zero_modes": zero_modes(systems, tol),
+        "pairing_violations": None if violations is None else len(violations),
+        "even_odd_distance": pairing["even_odd_distance"],
+        "witten": {
+            "t": t_grid,
+            "w": [[v.real, v.imag] for v in witten_index(systems, t_grid)],
+        },
+        "partition": {
+            "t": t_grid,
+            "z": [[v.real, v.imag] for v in partition_function(systems, t_grid)],
+            "slope": slope,
+        },
+        "classification": label,
+        "ground": ground,
+        "near_defective": any(s.near_defective for s in systems),
+        "tolerances": asdict(tol),
+    }

@@ -6,7 +6,7 @@ import pytest
 from sts.config import abc_field
 from sts.layout import BasisLayout
 from sts.operators import SdeModel, kd_operator
-from sts.spectral import Tolerances, analyze
+from sts.spectral import Tolerances, analyze, pairing_check, report
 from sts.trig import FlowField, TrigField, identity_frame
 
 
@@ -49,21 +49,24 @@ DYNAMO_N = 4
 DYNAMO_TOL = Tolerances(tol_converge=1e-2)
 
 
+def dynamo_report(flow, eta):
+    """Blocks and report payload of the guarded dynamo operator at N = 4."""
+    builder = lambda lay: kd_operator(flow, eta, lay)
+    blocks = builder(BasisLayout(3, DYNAMO_N))
+    systems = analyze(blocks, builder=builder, tol=DYNAMO_TOL)
+    pairing = pairing_check(systems, DYNAMO_TOL, blocks=blocks)
+    return blocks, report(systems, pairing, DYNAMO_TOL, [0.1, 1.0, 10.0])
+
+
 @pytest.fixture(scope="session")
 def abc_report():
     """Full spectral report of the ABC dynamo operator in the window."""
     flow = abc_field(1.0, 1.0, 1.0)
-    builder = lambda lay: kd_operator(flow, ABC_ETA, lay)
-    blocks = builder(BasisLayout(3, DYNAMO_N))
-    rep = analyze(blocks, builder=builder, tol=DYNAMO_TOL)
-    return flow, blocks, rep
+    return (flow, *dynamo_report(flow, ABC_ETA))
 
 
 @pytest.fixture(scope="session")
 def roberts_report():
     """Spectral report for the C=0 member of the ABC family (steady dynamo)."""
     flow = abc_field(1.0, 1.0, 0.0)
-    builder = lambda lay: kd_operator(flow, ROBERTS_ETA, lay)
-    blocks = builder(BasisLayout(3, DYNAMO_N))
-    rep = analyze(blocks, builder=builder, tol=DYNAMO_TOL)
-    return flow, blocks, rep
+    return (flow, *dynamo_report(flow, ROBERTS_ETA))

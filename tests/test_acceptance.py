@@ -64,6 +64,14 @@ def verdict(number, label, ok, detail=""):
     assert ok, f"criterion {number} ({label}) failed: {detail}"
 
 
+def ground_energy(payload):
+    return complex(payload["ground"]["re"], payload["ground"]["im"])
+
+
+def max_witten(payload):
+    return max(abs(complex(*w)) for w in payload["witten"]["w"])
+
+
 def langevin_double_model(layout=None, theta=0.5, a=0.3):
     layout = layout or BasisLayout(1, 12)
     drift = FlowField([TrigField.sin(1, 0) + TrigField.sin(1, 0, 2 * a, 2)])
@@ -166,8 +174,8 @@ def test_criterion_03_witten_index(abc_report, roberts_report):
     for m in _preset_models(2) + pairing_suite():
         systems = [eigensolve(b, vectors=False) for b in seo_alpha(m)]
         worst = max(worst, max(abs(w) for w in witten_index(systems, t_grid)))
-    for _, _, rep in (abc_report, roberts_report):
-        worst = max(worst, max(abs(w) for w in rep.witten_samples))
+    for _, _, payload in (abc_report, roberts_report):
+        worst = max(worst, max_witten(payload))
     ok = worst <= 1e-6
     verdict(3, "Witten index vanishes on all presets", ok, f"(max |W| {worst:.2e})")
 
@@ -324,9 +332,9 @@ def test_criterion_09_kinematic_dynamo(tmp_path, abc_report):
     broken_real_seen = BROKEN_REAL in cells.values()
 
     # eigensolve vs time stepping on the window cell
-    flow, blocks, rep = abc_report
-    assert rep.classification == BROKEN_COMPLEX
-    e_g = rep.ground["energy"]
+    flow, blocks, payload = abc_report
+    assert payload["classification"] == BROKEN_COMPLEX
+    e_g = ground_energy(payload)
     layout = blocks.layout
     rng = np.random.default_rng([4, 1])
     b0 = FormVector(2, layout, rng.standard_normal(layout.size(2)) + 0j)
@@ -379,9 +387,9 @@ def test_criterion_11_response_probe(abc_report):
         for _ in range(5):
             f = FlowField([TrigField.random(D, 1, rng, 0.7) for _ in range(D)])
             worst_unbroken = max(worst_unbroken, abs(response(f, g, systems)))
-    _, blocks, rep = abc_report
+    _, blocks, payload = abc_report
     pair = targeted_eigenpair(
-        blocks[rep.ground["degree"]], rep.ground["energy"]
+        blocks[payload["ground"]["degree"]], ground_energy(payload)
     )
     broken_vals = []
     for _ in range(5):
@@ -394,12 +402,12 @@ def test_criterion_11_response_probe(abc_report):
 
 
 def test_criterion_12_partition_growth(roberts_report):
-    _, _, rep = roberts_report
-    assert rep.classification in (BROKEN_REAL, BROKEN_COMPLEX)
-    e_g = rep.ground["energy"]
-    slope = rep.partition_slope
+    _, _, payload = roberts_report
+    assert payload["classification"] in (BROKEN_REAL, BROKEN_COMPLEX)
+    e_g = ground_energy(payload)
+    slope = payload["partition"]["slope"]
     rel = abs(slope - (-e_g.real)) / abs(e_g.real)
-    witten_ok = max(abs(w) for w in rep.witten_samples) <= 1e-6
+    witten_ok = max_witten(payload) <= 1e-6
     ok = rel <= 0.05 and witten_ok
     verdict(12, "Z(t) log-slope recovers the ground-state rate", ok,
             f"(slope {slope:.5f} vs {-e_g.real:.5f}, rel {rel:.3f})")

@@ -429,6 +429,35 @@ def test_cli_sweep(tmp_path):
     assert report["payload"]["cells"] == 4
 
 
+@pytest.mark.parametrize("dimension, truncation", [(1, 8), (2, 4)])
+def test_cli_sweep_cells_agree_with_spectrum(tmp_path, dimension, truncation):
+    # a cell solves for eigenvalues only; under the same guard it must
+    # reach the verdict and ground energy of a full spectrum run
+    doc = {
+        "dimension": dimension, "truncation": truncation, "theta": 0.05,
+        "flow": {"preset": "random",
+                 "params": {"bandwidth": 1, "amplitude": 0.5}},
+    }
+    sweep = {"theta": [0.05, 0.5], "parameter": "seed", "values": [1, 2]}
+    cfg = write_config(tmp_path, {**doc, "sweep": sweep}, "sweep.json")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert len(lines) == 4
+    single = write_config(tmp_path, doc, "single.json")
+    for line in lines:
+        theta, seed, label, re_eg, im_eg, converged = line.strip().split(",")
+        cell = tmp_path / f"cell-{theta}-{seed}"
+        main(["spectrum", "--config", single, "--theta", theta, "--seed", seed,
+              "--out", str(cell)])
+        payload = json.loads((cell / "report.json").read_text())["payload"]
+        assert label == payload["classification"], (theta, seed)
+        assert converged == "true"
+        ground = complex(payload["ground"]["re"], payload["ground"]["im"])
+        energy = complex(float(re_eg), float(im_eg))
+        assert abs(energy - ground) <= 1e-12 * max(1.0, abs(ground)), (theta, seed)
+
+
 def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):
     # a sweep records a failed cell and goes on; a single run exits 3
     def fail(block, vectors=True):

@@ -21,7 +21,13 @@ from sts.operators import (
     stratonovich,
 )
 from sts.config import abc_field
-from sts.spectral import adjoint_check, eigensolve, hausdorff_distance
+from sts.spectral import (
+    Tolerances,
+    adjoint_check,
+    eigensolve,
+    hausdorff_distance,
+    zero_modes,
+)
 from sts.trig import FlowField, TrigField, identity_frame
 
 from conftest import langevin_cos_model, multiplicative_model, shear_model
@@ -230,18 +236,20 @@ def test_d_exactness_on_random_models(D, N, n_noise, theta, alpha, seed):
     model = SdeModel(BasisLayout(D, N), field(),
                      [field() for _ in range(n_noise)], theta, alpha)
     H, HT = seo_alpha(model), seo_time_reversed(model)
+    systems = []
     for blocks in (H, HT):
         assert max(blocks.d_commutator_residuals()) <= 1e-12
-        for b in blocks:
-            real_path_matches_complex_path(b)
+        systems.append([real_path_matches_complex_path(b) for b in blocks])
     # the adjoint bound of acceptance criterion 5
     assert max(adjoint_check(H, HT)) <= 1e-10
+    # the Betti zero modes of acceptance criterion 1
+    assert zero_modes(systems[0], Tolerances())["match"]
 
 
 def real_path_matches_complex_path(block):
     """The block is real in its cos/sin basis within the roundoff bound
     eigensolve enforces, and the real solve finds the complex solve's
-    spectrum to 1e-12 max(1, spectral radius).
+    spectrum to 1e-12 max(1, spectral radius).  Returns the real solve.
 
     An eigenvalue the two solves place further apart than that must be
     ill-conditioned: it is then an exact eigenvalue of a block within
@@ -252,7 +260,8 @@ def real_path_matches_complex_path(block):
     assert (np.abs(M.data.imag).max(initial=0.0)
             <= 1e-12 * np.abs(M.data.real).max(initial=0.0))
     A = block.dense
-    w = eigensolve(block, vectors=False).eigenvalues
+    system = eigensolve(block, vectors=False)
+    w = system.eigenvalues
     ref = np.linalg.eigvals(A)
     bound = 1e-12 * max(1.0, float(np.abs(ref).max()))
     assert len(w) == len(ref)
@@ -260,6 +269,7 @@ def real_path_matches_complex_path(block):
     for lam in w:
         if np.min(np.abs(ref - lam)) > bound:
             assert np.linalg.svd(A - lam * eye, compute_uv=False)[-1] <= bound
+    return system
 
 
 def test_spectra_closed_under_conjugation():

@@ -26,6 +26,7 @@ from sts.spectral import (
     pairing_check,
     partition_function,
     partition_slope,
+    report,
     targeted_eigenpair,
     witten_index,
     zero_modes,
@@ -73,9 +74,11 @@ def test_eigensolve_falls_back_to_schur_on_a_jordan_block():
     sys = eigensolve(blocks[0])
     assert sys.near_defective and not sys.has_vectors
     assert np.allclose(sys.eigenvalues, [-1, 1, 1])  # sorted by (Re, Im)
-    rep = analyze(blocks)
-    assert rep.near_defective
-    assert rep.pairing["violations"] is None
+    systems = analyze(blocks)
+    payload = report(systems, pairing_check(systems, TOL, blocks=blocks),
+                     TOL, [1.0])
+    assert payload["near_defective"]
+    assert payload["pairing_violations"] is None
 
 
 def test_eigensolve_reconstructs_random_matrix():
@@ -145,8 +148,7 @@ def test_partition_slope_recovers_ground_rate():
         fake_system([-0.3, 0.0, 1.0, 2.0]),
         fake_system([1.0, 2.0, 5.0], degree=1),
     ]
-    slope, (t0, t1) = partition_slope(systems, -0.3 + 0j)
-    assert t0 == pytest.approx(10.0)
+    slope = partition_slope(systems, -0.3 + 0j)
     # the zero mode contaminates the fit window slightly
     assert slope == pytest.approx(0.3, rel=2e-2)
 
@@ -318,28 +320,41 @@ def test_analyze_langevin_report():
     def builder(lay):
         return seo_alpha(langevin_cos_model(lay))
 
-    rep = analyze(builder(BasisLayout(1, 12)), builder=builder)
-    assert rep.classification == UNBROKEN
-    assert rep.zero_mode_summary["match"]
-    assert rep.pairing["violations"] == []
-    assert max(abs(w) for w in rep.witten_samples) < 1e-10
-    assert rep.ground["degree"] == 1
-    d = rep.to_dict()
-    assert d["classification"] == UNBROKEN
-    assert d["spectra"][0][0]["converged"] in (True, False)
+    blocks = builder(BasisLayout(1, 12))
+    systems = analyze(blocks, builder=builder)
+    assert all(s.has_vectors for s in systems)
+    pairing = pairing_check(systems, TOL, blocks=blocks)
+    payload = report(systems, pairing, TOL, [0.1, 1.0, 10.0])
+    assert payload["classification"] == UNBROKEN
+    assert payload["zero_modes"]["match"]
+    assert payload["pairing_violations"] == 0
+    assert max(abs(complex(*w)) for w in payload["witten"]["w"]) < 1e-10
+    assert payload["ground"]["degree"] == 1
+    assert payload["partition"]["slope"] is None
+    converged = [r["converged"] for rows in payload["spectra"] for r in rows]
+    assert converged == [bool(c) for s in systems for c in s.converged]
+    assert not all(converged)
+    # the verdict alone needs no vectors and reads the same eigenvalues
+    bare = analyze(blocks, builder=builder, vectors=False)
+    assert not any(s.has_vectors for s in bare)
+    assert classify(bare, TOL) == UNBROKEN
+    assert ground_state(bare, TOL)["degree"] == 1
 
 
 def test_analyze_without_vectors_skips_pairing():
     # 3-D blocks are solved for eigenvalues only
     blocks = kd_operator(FlowField.zero(3), 0.5, BasisLayout(3, 1))
-    rep = analyze(blocks)
-    assert not any(s.has_vectors for s in rep.systems)
-    assert rep.pairing["partners"] is None
-    assert rep.pairing["violations"] is None
+    systems = analyze(blocks)
+    assert not any(s.has_vectors for s in systems)
+    pairing = pairing_check(systems, TOL, blocks=blocks)
+    assert pairing["partners"] is None
+    assert pairing["violations"] is None
     # pure diffusion pairs exactly: only the multiset comparison is left
-    assert rep.pairing["even_odd_distance"] < 1e-12
-    assert rep.to_dict()["even_odd_distance"] == rep.pairing["even_odd_distance"]
-    assert rep.classification == UNBROKEN
+    assert pairing["even_odd_distance"] < 1e-12
+    payload = report(systems, pairing, TOL, [1.0])
+    assert payload["even_odd_distance"] == pairing["even_odd_distance"]
+    assert payload["pairing_violations"] is None
+    assert payload["classification"] == UNBROKEN
 
 
 def test_tolerances_validation():
