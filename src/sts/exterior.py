@@ -10,6 +10,7 @@ exactly at finite truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -182,6 +183,45 @@ def d_matrix(layout, k):
         raise DegreeError(f"exterior derivative undefined at degree {k}")
     axes = range(1, layout.dimension + 1)
     return _wedge_map(layout, k, [diff_matrix(layout, a) for a in axes])
+
+
+def exact_basis(layout, j):
+    """Orthonormal basis P_j of im d^j in the degree-(j + 1) block.
+
+    d^j is block-diagonal in kappa with the symbol i K(kappa), K real and
+    K(-kappa) = -K(kappa).  The Koszul complex of kappa != 0 is exact, so
+    K(kappa) has rank C(D-1, j) there, and d^j vanishes at kappa = 0.  One
+    batched SVD over a half-space gives real orthonormal columns u of
+    im K(kappa); P_j holds the pairs (e_kappa + e_-kappa) u / sqrt(2) and
+    i (e_kappa - e_-kappa) u / sqrt(2), so that U^H P_j is real for the
+    cos/sin basis U of :meth:`BasisLayout.real_basis`.  Returns a sparse
+    (size(j + 1), (n_modes - 1) C(D-1, j)) matrix.
+    """
+    D = layout.dimension
+    n = layout.n_modes
+    plus = np.arange(n // 2 + 1, n)
+    # K[m, r_out, r_in] = Im d[r_out n + plus[m], r_in n + plus[m]]
+    at = plus[:, None, None]
+    rows, cols = np.broadcast_arrays(
+        np.arange(comb(D, j + 1))[:, None] * n + at,
+        np.arange(comb(D, j))[None, :] * n + at)
+    d = d_matrix(layout, j).matrix
+    K = np.asarray(d[rows.ravel(), cols.ravel()]).reshape(rows.shape).imag
+    rank = comb(D - 1, j)
+    u = np.linalg.svd(K, full_matrices=False)[0][:, :, :rank] / np.sqrt(2.0)
+    mode, r_out, c = np.indices(u.shape)
+    rows_plus = (r_out * n + plus[mode]).ravel()
+    rows_minus = (r_out * n + n - 1 - plus[mode]).ravel()
+    cos = 2 * (mode * rank + c).ravel()
+    u = u.ravel()
+    P = sp.csr_matrix(
+        (np.concatenate([u, u, 1j * u, -1j * u]),
+         (np.concatenate([rows_plus, rows_minus, rows_plus, rows_minus]),
+          np.concatenate([cos, cos, cos + 1, cos + 1]))),
+        shape=(layout.size(j + 1), 2 * len(plus) * rank),
+    )
+    P.eliminate_zeros()
+    return P
 
 
 def codifferential_matrix(layout, k):

@@ -13,10 +13,12 @@ from math import comb
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exterior import (
     d_matrix,
+    exact_basis,
     hodge_star_inverse_matrix,
     hodge_star_matrix,
     interior_matrix,
@@ -32,10 +34,13 @@ _DEFECTIVE_COND = 1e10
 # largest imaginary part a block may keep in its cos/sin basis, relative
 # to its largest real entry: roundoff of real fields' products
 _REAL_TOL = 1e-12
+# largest relative residual ||A P - P R|| / ||A|| of a block on im d: the
+# blocks commute with d exactly, so anything above roundoff is a defect
+_INVARIANCE_TOL = 1e-12
 # up to this dimension blocks are solved with eigenvectors and guarded by a
 # dense refined solve; 3-D advection-dominated blocks have unusable global
 # eigenbases and are too large to re-solve, so they get eigenvalues only
-# and a shift-invert guard
+# and a shift-invert guard on the d-exact subspaces of the refined operator
 _MAX_VECTOR_DIMENSION = 2
 
 
@@ -128,12 +133,25 @@ def _real_eig(block, vectors):
     real forms, and U^H A U is real for the cos/sin basis U of
     ``BasisLayout.real_basis``.  Returns ``(w, W, U)``: complex
     eigenvalues, vectors in that basis (None without vectors) and U.
-    Raises ValueError on non-finite entries, and on a block whose
-    imaginary part there exceeds roundoff, 1e-12 of its largest real
-    entry: one of its fields is then not real.
+    Raises ValueError, through :func:`_real_part`, on a block that is
+    not finite or not real there.
     """
     U = block.layout.real_basis(block.k_in)
-    M = (U.conj().T @ block.matrix @ U).tocsr()
+    R = _real_part(U.conj().T @ block.matrix @ U).toarray()
+    if not vectors:
+        return np.linalg.eigvals(R).astype(complex), None, U
+    w, W = sla.eig(R)
+    return w, W, U
+
+
+def _real_part(M):
+    """Real part of a sparse matrix whose imaginary part must be roundoff.
+
+    Raises ValueError on non-finite entries, and on an imaginary part
+    above 1e-12 of the largest real entry: one of the operator's fields
+    is then not real.
+    """
+    M = M.tocsr()
     if not np.all(np.isfinite(M.data)):
         raise ValueError("operator block contains non-finite entries")
     imag = np.abs(M.data.imag).max(initial=0.0)
@@ -141,11 +159,7 @@ def _real_eig(block, vectors):
         raise ValueError(
             f"operator block is not real in the cos/sin basis (imaginary "
             f"part {imag:.3g}): a field is not real")
-    R = M.real.toarray()
-    if not vectors:
-        return np.linalg.eigvals(R).astype(complex), None, U
-    w, W = sla.eig(R)
-    return w, W, U
+    return M.real
 
 
 def spectral_radius(systems):
@@ -197,8 +211,12 @@ def partition_slope(systems, ground_energy):
     re = abs(ground_energy.real)
     T = 3.0 / re if re > 0 else 3.0
     t = np.linspace(T, 2.0 * T, 25)
-    z = np.array([abs(v) for v in partition_function(systems, t)])
-    return float(np.polyfit(t, np.log(z), 1)[0])
+    # log|Z| with the fastest growth factored out of every term, so that
+    # no exponent overflows when a small |Re E_g| puts the window at large t
+    w = np.concatenate([s.eigenvalues for s in systems])
+    top = -w.real.min()
+    z = np.abs(np.exp(-np.outer(t, w + top)).sum(axis=1))
+    return float(np.polyfit(t, top * t + np.log(z), 1)[0])
 
 
 def pairing_check(systems, tol, *, blocks):
@@ -438,16 +456,23 @@ def response(f_field, ground, systems=None):
 # -- truncation-refinement convergence ----------------------------------------
 
 
-def convergence_masks(systems, builder, tol):
+def convergence_masks(systems, builder, tol, blocks):
     """Flag eigenvalues reproduced by the refined truncation N + 2.
 
-    ``builder(layout)`` must return SeoBlocks on any layout.  Layouts
+    ``builder(layout)`` must return SeoBlocks on any layout, and
+    ``blocks`` are the blocks ``systems`` were solved from.  Layouts
     solved with eigenvectors are re-solved densely on the refined layout
     and every eigenvalue is checked.  A 3-D dense refined solve is too
-    costly, so there only the 12 lowest-real-part distinct eigenvalues
-    per degree are used as shifts of a sparse shift-inverted solve; the
-    4 * 12 lowest-real-part eigenvalues are checked against what it
-    finds, and all others are left flagged unconverged.
+    costly, so there the guard uses that d commutes with H: im d^j is
+    invariant under H^(j+1), and spec H^(k) is the union of spec R_(k-1),
+    b_k = C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j
+    the operator on im d^j (see :func:`exact_basis`).  The 12 lowest
+    distinct eigenvalues, in (Re, Im) order, of each base R_j are the
+    shifts of a sparse shift-inverted solve of the refined R_j; the
+    4 * 12 lowest eigenvalues of degree k are checked against what the
+    solves of R_(k-1) and R_k find and the Betti zeros, and all others
+    are left flagged unconverged.  Raises ValueError when some block
+    does not leave im d invariant.
     """
     layout = systems[0].layout
     fine = builder(layout.refined())
@@ -457,21 +482,53 @@ def convergence_masks(systems, builder, tol):
             for k, s in enumerate(systems)
         ]
     m = 12
+    D = layout.dimension
+    found = []
+    for j in range(D):
+        w = np.linalg.eigvals(
+            _reduce(blocks[j + 1], exact_basis(layout, j)).toarray())
+        targets = _shift_targets(w[np.lexsort((w.imag, w.real))], m)
+        R = _reduce(fine[j + 1], exact_basis(fine.layout, j))
+        found.append(_refined_near(R, targets))
     masks = []
     for k, s in enumerate(systems):
         # eigensolve sorts by (Re, Im), so the head is the lowest real parts
+        ref = np.concatenate(
+            found[max(k - 1, 0):k + 1] + [np.zeros(comb(D, k))])
         mask = np.zeros(s.size, bool)
-        targets = []
-        for lam in s.eigenvalues:
-            if all(abs(lam - t) > 1e-10 for t in targets):
-                targets.append(lam)
-            if len(targets) >= m:
-                break
-        ref = _refined_near(fine[k], targets)
-        if len(ref):
-            mask[: 4 * m] = _drift_mask(s.eigenvalues[: 4 * m], ref, tol)
+        mask[: 4 * m] = _drift_mask(s.eigenvalues[: 4 * m], ref, tol)
         masks.append(mask)
     return masks
+
+
+def _reduce(block, P):
+    """Real matrix of R = P^H A P, the block A restricted to the invariant
+    subspace that the orthonormal columns of an :func:`exact_basis` P span.
+
+    Raises ValueError, naming the degree, when the invariance residual
+    ||A P - P R|| / ||A|| exceeds 1e-12: the block does not commute with
+    d.
+    """
+    A = block.matrix
+    AP = A @ P
+    R = (P.conj().T @ AP).tocsr()
+    resid = spla.norm(AP - P @ R) / max(spla.norm(A), 1e-300)
+    if resid > _INVARIANCE_TOL:
+        raise ValueError(
+            f"the degree-{block.k_in} block does not leave im d invariant "
+            f"(residual {resid:.3g}): the operator does not commute with d")
+    return _real_part(R)
+
+
+def _shift_targets(eigenvalues, m):
+    """The first m distinct (to 1e-10) of eigenvalues in (Re, Im) order."""
+    targets = []
+    for lam in eigenvalues:
+        if all(abs(lam - t) > 1e-10 for t in targets):
+            targets.append(lam)
+        if len(targets) >= m:
+            break
+    return targets
 
 
 def _drift_mask(base, refined, tol):
@@ -479,9 +536,15 @@ def _drift_mask(base, refined, tol):
     return drift <= tol.tol_converge * np.maximum(1.0, np.abs(base))
 
 
-def _refined_near(block, targets):
-    """Refined eigenvalues near each shift, via sparse shift-invert."""
-    A = block.matrix.tocsc()
+def _refined_near(A, targets):
+    """Eigenvalues of the sparse matrix A near each shift, via sparse
+    shift-invert.
+
+    A is solved as a complex matrix: for a real matrix and a complex
+    shift, ``eigs`` would switch to its real-part mode, a different
+    algorithm.
+    """
+    A = sp.csc_matrix(A, dtype=complex)
     found = []
     for sigma in targets:
         # small imaginary offset keeps the shifted matrix nonsingular
@@ -515,7 +578,8 @@ def analyze(blocks, builder=None, tol=None, vectors=True):
     vectors = vectors and blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
     systems = [eigensolve(b, vectors=vectors) for b in blocks]
     if builder is not None:
-        for s, mask in zip(systems, convergence_masks(systems, builder, tol)):
+        masks = convergence_masks(systems, builder, tol, blocks)
+        for s, mask in zip(systems, masks):
             s.converged = mask
     return systems
 

@@ -206,7 +206,8 @@ def test_cli_indeterminate_exit_code(tmp_path, monkeypatch):
     # a guard that certifies nothing leaves no verdict and no ground state
     monkeypatch.setattr(
         sts.spectral, "convergence_masks",
-        lambda systems, builder, tol: [np.zeros(s.size, bool) for s in systems])
+        lambda systems, builder, tol, blocks:
+        [np.zeros(s.size, bool) for s in systems])
     cfg = write_config(tmp_path, MINIMAL)
     out = tmp_path / "out"
     assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
@@ -310,7 +311,7 @@ def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
         tmp_path, monkeypatch):
     # with every eigenvalue certified, ABC at N = 2 has a broken-complex
     # ground state, so cmd_dynamo runs its time-stepping oracle
-    def certify_all(systems, builder, tol):
+    def certify_all(systems, builder, tol, blocks):
         return [np.ones(s.size, bool) for s in systems]
 
     monkeypatch.setattr(sts.spectral, "convergence_masks", certify_all)

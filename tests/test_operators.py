@@ -1,11 +1,14 @@
 """Assembly of the graded evolution operators."""
 
+from math import comb
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sts.exterior import d_matrix
+from sts.exterior import d_matrix, exact_basis
 from sts.layout import BasisLayout
 from sts.operators import (
     SdeModel,
@@ -27,6 +30,7 @@ from sts.spectral import (
     eigensolve,
     hausdorff_distance,
     zero_modes,
+    _reduce,
 )
 from sts.trig import FlowField, TrigField, identity_frame
 
@@ -240,6 +244,7 @@ def test_d_exactness_on_random_models(D, N, n_noise, theta, alpha, seed):
     for blocks in (H, HT):
         assert max(blocks.d_commutator_residuals()) <= 1e-12
         systems.append([real_path_matches_complex_path(b) for b in blocks])
+        reduced_spectra_match_full_spectra(blocks, systems[-1])
     # the adjoint bound of acceptance criterion 5
     assert max(adjoint_check(H, HT)) <= 1e-10
     # the Betti zero modes of acceptance criterion 1
@@ -270,6 +275,41 @@ def real_path_matches_complex_path(block):
         if np.min(np.abs(ref - lam)) > bound:
             assert np.linalg.svd(A - lam * eye, compute_uv=False)[-1] <= bound
     return system
+
+
+def reduced_spectra_match_full_spectra(blocks, systems):
+    """Each exact_basis P_j is orthonormal to 1e-13, im d^j is invariant
+    under H^(j+1) to a relative residual of 1e-13, and every eigenvalue
+    of H^(k) (the real solves ``systems``) lies within the forward bound
+    of real_path_matches_complex_path of the spectra of R_(k-1), R_k and
+    b_k zeros, with R_j = P_j^H H^(j+1) P_j.  Beyond it, the nearest of
+    those must be an exact eigenvalue of H^(k) perturbed within the bound,
+    the backward form: an eigenvalue ill-conditioned in H^(k) can be
+    well-conditioned in R_j."""
+    layout = blocks.layout
+    D = layout.dimension
+    reduced = []
+    for j in range(D):
+        P = exact_basis(layout, j)
+        gram = (P.conj().T @ P).toarray()
+        assert np.abs(gram - np.eye(len(gram))).max() <= 1e-13
+        A = blocks[j + 1].matrix
+        R = _reduce(blocks[j + 1], P)
+        assert sp.linalg.norm(A @ P - P @ R) <= 1e-13 * sp.linalg.norm(A)
+        reduced.append(R.toarray())
+    spectra = [np.linalg.eigvals(R) for R in reduced]
+    for k, s in enumerate(systems):
+        union = np.concatenate(
+            spectra[max(k - 1, 0):k + 1] + [np.zeros(comb(D, k))])
+        assert len(union) == s.size
+        A = blocks[k].dense
+        bound = 1e-12 * max(1.0, float(np.abs(s.eigenvalues).max()))
+        for lam in s.eigenvalues:
+            gaps = np.abs(union - lam)
+            if gaps.min() > bound:
+                mu = union[np.argmin(gaps)]
+                sigma = np.linalg.svd(A - mu * np.eye(len(A)), compute_uv=False)
+                assert sigma[-1] <= bound
 
 
 def test_spectra_closed_under_conjugation():

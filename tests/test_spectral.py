@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from sts.exterior import OperatorBlock
+from sts.config import abc_field
+from sts.exterior import OperatorBlock, multiply_matrix
 from sts.layout import BasisLayout
-from sts.operators import SdeModel, kd_operator, seo_alpha, seo_time_reversed
+from sts.operators import (
+    SdeModel,
+    SeoBlocks,
+    kd_operator,
+    seo_alpha,
+    seo_time_reversed,
+)
 from sts.spectral import (
     BROKEN_COMPLEX,
     BROKEN_REAL,
@@ -30,6 +37,9 @@ from sts.spectral import (
     targeted_eigenpair,
     witten_index,
     zero_modes,
+    _drift_mask,
+    _refined_near,
+    _shift_targets,
 )
 from sts.trig import FlowField, TrigField, identity_frame
 
@@ -151,6 +161,10 @@ def test_partition_slope_recovers_ground_rate():
     slope = partition_slope(systems, -0.3 + 0j)
     # the zero mode contaminates the fit window slightly
     assert slope == pytest.approx(0.3, rel=2e-2)
+    # a tiny ground rate puts the window at t ~ 1e6, where exp(0.3 t)
+    # overflows; the fastest-growing term then sets the slope
+    slope = partition_slope(systems, -5e-6 + 0j)
+    assert slope == pytest.approx(0.3, rel=1e-12)
 
 
 def test_pairing_check_langevin():
@@ -310,10 +324,49 @@ def test_convergence_masks_flag_low_modes():
 
     blocks = builder(BasisLayout(1, 12))
     systems = [eigensolve(b) for b in blocks]
-    masks = convergence_masks(systems, builder, TOL)
+    masks = convergence_masks(systems, builder, TOL, blocks)
     for k, s in enumerate(systems):
         low = np.argsort(s.eigenvalues.real)[:8]
         assert masks[k][low].all()
+
+
+def test_3d_guard_matches_the_full_block_guard():
+    # the dynamo benchmark config: shift-inverting the d-exact subspaces
+    # of the refined operator certifies exactly what shift-inverting each
+    # full refined block does
+    tol = Tolerances(tol_converge=1e-2)
+
+    def builder(lay):
+        return kd_operator(abc_field(1.0, 1.0, 1.0), 0.08, lay)
+
+    blocks = builder(BasisLayout(3, 2))
+    systems = [eigensolve(b, vectors=False) for b in blocks]
+    masks = convergence_masks(systems, builder, tol, blocks)
+    fine = builder(blocks.layout.refined())
+    for k, s in enumerate(systems):
+        reference = np.zeros(s.size, bool)
+        ref = _refined_near(fine[k].matrix, _shift_targets(s.eigenvalues, 12))
+        if len(ref):
+            reference[:48] = _drift_mask(s.eigenvalues[:48], ref, tol)
+        assert np.array_equal(masks[k], reference), k
+    assert [int(m.sum()) for m in masks] == [4, 10, 10, 4]
+
+
+def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
+    # a multiplication added to the degree-2 block breaks [d, H] = 0, so
+    # im d^1 is no longer invariant and there is no reduced operator
+    def builder(lay):
+        H = kd_operator(abc_field(1.0, 1.0, 1.0), 0.3, lay)
+        bump = multiply_matrix(TrigField.cos(3, 0), lay, 2).matrix
+        return SeoBlocks(
+            tuple(OperatorBlock(k, k, lay, b.matrix + bump) if k == 2 else b
+                  for k, b in enumerate(H)),
+            lay,
+        )
+
+    blocks = builder(BasisLayout(3, 1))
+    with pytest.raises(ValueError, match="degree-2"):
+        analyze(blocks, builder, Tolerances(tol_converge=1e-2))
 
 
 def test_analyze_langevin_report():
