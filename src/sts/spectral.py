@@ -211,12 +211,8 @@ def partition_slope(systems, ground_energy):
     re = abs(ground_energy.real)
     T = 3.0 / re if re > 0 else 3.0
     t = np.linspace(T, 2.0 * T, 25)
-    # log|Z| with the fastest growth factored out of every term, so that
-    # no exponent overflows when a small |Re E_g| puts the window at large t
-    w = np.concatenate([s.eigenvalues for s in systems])
-    top = -w.real.min()
-    z = np.abs(np.exp(-np.outer(t, w + top)).sum(axis=1))
-    return float(np.polyfit(t, top * t + np.log(z), 1)[0])
+    z = np.array([abs(v) for v in partition_function(systems, t)])
+    return float(np.polyfit(t, np.log(z), 1)[0])
 
 
 def pairing_check(systems, tol, *, blocks):
@@ -468,11 +464,16 @@ def convergence_masks(systems, builder, tol, blocks):
     b_k = C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j
     the operator on im d^j (see :func:`exact_basis`).  The 12 lowest
     distinct eigenvalues, in (Re, Im) order, of each base R_j are the
-    shifts of a sparse shift-inverted solve of the refined R_j; the
-    4 * 12 lowest eigenvalues of degree k are checked against what the
-    solves of R_(k-1) and R_k find and the Betti zeros, and all others
-    are left flagged unconverged.  Raises ValueError when some block
-    does not leave im d invariant.
+    shifts of a sparse shift-inverted solve of the refined R_j.  Each of
+    the 4 * 12 lowest eigenvalues of degree k is attributed to R_(k-1),
+    R_k or a Betti zero by a greedy one-to-one nearest matching with the
+    base spectra, and is checked only against what the refined solve of
+    its own R_j found.  The refined Betti zeros join every check of degree k
+    when 0 is one of its 12 lowest distinct eigenvalues, where a
+    shift-invert of the full refined block finds them; a Betti zero is
+    certified only then.  All other eigenvalues are left flagged
+    unconverged.  Raises ValueError when some block does not leave im d
+    invariant.
     """
     layout = systems[0].layout
     fine = builder(layout.refined())
@@ -483,20 +484,36 @@ def convergence_masks(systems, builder, tol, blocks):
         ]
     m = 12
     D = layout.dimension
-    found = []
+    base, found = [], []
     for j in range(D):
         w = np.linalg.eigvals(
             _reduce(blocks[j + 1], exact_basis(layout, j)).toarray())
+        base.append(w)
         targets = _shift_targets(w[np.lexsort((w.imag, w.real))], m)
         R = _reduce(fine[j + 1], exact_basis(fine.layout, j))
         found.append(_refined_near(R, targets))
     masks = []
     for k, s in enumerate(systems):
         # eigensolve sorts by (Re, Im), so the head is the lowest real parts
-        ref = np.concatenate(
-            found[max(k - 1, 0):k + 1] + [np.zeros(comb(D, k))])
+        head = s.eigenvalues[: 4 * m]
+        # (base spectrum, refined eigenvalues found) of R_(k-1), R_k and the
+        # Betti zeros; each head eigenvalue belongs to the part of its
+        # partner in a greedy one-to-one nearest matching with the base
+        # spectra
+        parts = [(base[j], found[j]) for j in (k - 1, k) if 0 <= j < D]
+        parts.append((np.zeros(comb(D, k)), np.zeros(0)))
+        owner = np.repeat(np.arange(len(parts)), [len(w) for w, _ in parts])
+        owner = owner[_partners(head, np.concatenate([w for w, _ in parts]))]
+        # the refined Betti zeros are found where the full-block solve found
+        # them: when 0 is one of the degree's 12 lowest distinct eigenvalues
+        zero = np.zeros(int(np.abs(_shift_targets(s.eigenvalues, m)).min()
+                            <= 1e-10))
         mask = np.zeros(s.size, bool)
-        mask[: 4 * m] = _drift_mask(s.eigenvalues[: 4 * m], ref, tol)
+        for i, (_, ref) in enumerate(parts):
+            ref = np.concatenate([ref, zero])
+            if len(ref):
+                mask[: 4 * m][owner == i] = _drift_mask(
+                    head[owner == i], ref, tol)
         masks.append(mask)
     return masks
 
@@ -518,6 +535,23 @@ def _reduce(block, P):
             f"the degree-{block.k_in} block does not leave im d invariant "
             f"(residual {resid:.3g}): the operator does not commute with d")
     return _real_part(R)
+
+
+def _partners(a, b):
+    """Index into b of each a's partner in a greedy one-to-one matching
+    that pairs the nearest free a and b first; len(b) >= len(a)."""
+    partner = np.full(len(a), -1)
+    taken = np.zeros(len(b), bool)
+    left = len(a)
+    for i, j in zip(*np.unravel_index(
+            np.argsort(np.abs(a[:, None] - b), axis=None, kind="stable"),
+            (len(a), len(b)))):
+        if partner[i] < 0 and not taken[j]:
+            partner[i], taken[j] = j, True
+            left -= 1
+            if not left:
+                break
+    return partner
 
 
 def _shift_targets(eigenvalues, m):

@@ -333,6 +333,26 @@ def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
     assert oracle["omega"] == pytest.approx(eig["omega"], rel=0.05)
 
 
+def test_cli_pure_advection_abc_is_unbroken(tmp_path):
+    # at theta 0 degrees 1 and 2 of ABC at N = 2 hold a defective cluster
+    # of R_1 at zero that roundoff scatters to Re ~ -5e-6, far below the
+    # zero threshold; neither R_0's refined solve nor the Betti zeros may
+    # vouch for it, so no broken verdict is certified
+    doc = {"dimension": 3, "truncation": 2, "theta": 0.0,
+           "flow": {"preset": "abc",
+                    "params": {"A": 1.0, "B": 1.0, "C": 1.0}},
+           "tolerances": {"tol_converge": 1e-2}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert payload["classification"] == "unbroken"
+    ground = payload["ground"]
+    assert abs(complex(ground["re"], ground["im"])) < 1e-12
+    certified = [r for d in payload["spectra"] for r in d if r["converged"]]
+    assert max(abs(r["re"]) for r in certified) < 1e-12
+
+
 def test_cli_mc_compare_failure_exit_code(tmp_path, monkeypatch):
     # every path at one point: an L1 distance of about 2, far above both
     # the bound and the sampling floor, so the check can judge it
