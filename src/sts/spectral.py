@@ -181,12 +181,13 @@ def zero_modes(systems, tol):
     return {"counts": counts, "betti": betti, "match": counts == betti}
 
 
-def _trace_samples(systems, t_grid, signed):
+def _trace_samples(systems, t_grid, signed, shift=0.0):
+    """Samples of sum_k (+-1)^k tr exp(-t (H^(k) + shift))."""
     out = []
     for t in t_grid:
         total = 0.0 + 0.0j
         for s in systems:
-            trace = np.sum(np.exp(-s.eigenvalues * t))
+            trace = np.sum(np.exp(-(s.eigenvalues + shift) * t))
             total += (-1) ** s.degree * trace if signed else trace
         out.append(complex(total))
     return out
@@ -205,14 +206,18 @@ def partition_function(systems, t_grid):
 def partition_slope(systems, ground_energy):
     """Large-t log-slope of Z(t), fitted over t in [T, 2T], T = 3/|Re E_g|.
 
-    For an exponentially growing trace the slope converges to -Re of the
-    ground eigenvalue.
+    For an exponentially growing trace the slope converges to -min Re of
+    the eigenvalues, the ground rate when the ground eigenvalue has the
+    lowest real part.  The fit is of log|Z(t)| = c t + log|Z_c(t)|, with
+    Z_c the trace of exp(-t (H + c)) and c = -min Re: no exponent of Z_c
+    is positive, so a large T does not overflow.
     """
     re = abs(ground_energy.real)
     T = 3.0 / re if re > 0 else 3.0
     t = np.linspace(T, 2.0 * T, 25)
-    z = np.array([abs(v) for v in partition_function(systems, t)])
-    return float(np.polyfit(t, np.log(z), 1)[0])
+    c = -min(float(s.eigenvalues.real.min()) for s in systems)
+    z = np.abs(_trace_samples(systems, t, signed=False, shift=c))
+    return float(np.polyfit(t, c * t + np.log(z), 1)[0])
 
 
 def pairing_check(systems, tol, *, blocks):
@@ -464,7 +469,10 @@ def convergence_masks(systems, builder, tol, blocks):
     b_k = C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j
     the operator on im d^j (see :func:`exact_basis`).  The 12 lowest
     distinct eigenvalues, in (Re, Im) order, of each base R_j are the
-    shifts of a sparse shift-inverted solve of the refined R_j.  Each of
+    shifts of a sparse shift-inverted solve of the refined R_j; R_j is
+    real, so a conjugate pair of shifts shares one solve, and the refined
+    eigenvalues at the second shift are the mirrored ones (see
+    :func:`_refined_near`).  Each of
     the 4 * 12 lowest eigenvalues of degree k is attributed to R_(k-1),
     R_k or a Betti zero by a greedy one-to-one nearest matching with the
     base spectra, and is checked only against what the refined solve of
@@ -571,25 +579,35 @@ def _drift_mask(base, refined, tol):
 
 
 def _refined_near(A, targets):
-    """Eigenvalues of the sparse matrix A near each shift, via sparse
+    """Eigenvalues of the real sparse matrix A near each shift, via sparse
     shift-invert.
 
-    A is solved as a complex matrix: for a real matrix and a complex
-    shift, ``eigs`` would switch to its real-part mode, a different
-    algorithm.
+    A is real, so its spectrum near conj(sigma) is the conjugate of its
+    spectrum near sigma: a target within 1e-10 of the conjugate of one
+    already tried is not solved, and the conjugates of that solve's
+    eigenvalues stand for it (none when that solve failed).  A is solved
+    as a complex matrix: for a real matrix and a complex shift, ``eigs``
+    would switch to its real-part mode, a different algorithm.
     """
     A = sp.csc_matrix(A, dtype=complex)
+    solved = {}
     found = []
-    for sigma in targets:
+    for sigma in map(complex, targets):
+        mirror = next((s for s in solved if abs(s.conjugate() - sigma) <= 1e-10),
+                      None)
+        if mirror is not None:
+            found.extend(np.conj(solved[mirror]).tolist())
+            continue
         # small imaginary offset keeps the shifted matrix nonsingular
         try:
             w = spla.eigs(
-                A, k=6, sigma=complex(sigma) + 1e-7j,
+                A, k=6, sigma=sigma + 1e-7j,
                 which="LM", return_eigenvectors=False,
             )
-            found.extend(w.tolist())
         except (spla.ArpackNoConvergence, RuntimeError):
-            continue
+            w = np.zeros(0)
+        solved[sigma] = w
+        found.extend(w.tolist())
     return np.asarray(found)
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.special import iv
 
+from sts import spectral
 from sts.config import abc_field
 from sts.exterior import OperatorBlock, multiply_matrix
 from sts.layout import BasisLayout
@@ -50,8 +53,6 @@ TOL = Tolerances()
 
 def real_block(R, layout=None):
     """Degree-0 block U R U^H of a real matrix R in the cos/sin basis U."""
-    import scipy.sparse as sp
-
     layout = layout or BasisLayout(1, (len(R) - 1) // 2)
     U = layout.real_basis(0)
     return OperatorBlock(0, 0, layout, U @ sp.csr_matrix(R) @ U.conj().T)
@@ -75,8 +76,6 @@ def test_eigensolve_diagonal():
 
 
 def test_eigensolve_falls_back_to_schur_on_a_jordan_block():
-    import scipy.sparse as sp
-
     layout = BasisLayout(1, 1)
     jordan = np.array([[1, 1, 0], [0, 1, 0], [0, 0, -1]], float)
     blocks = [real_block(jordan, layout),
@@ -102,8 +101,6 @@ def test_eigensolve_reconstructs_random_matrix():
 
 def test_eigensolve_refuses_a_block_that_is_not_real():
     # a block of a complex field: no cos/sin basis makes it real
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(7)
     A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     block = OperatorBlock(0, 0, BasisLayout(1, 3), sp.csr_matrix(A))
@@ -161,6 +158,13 @@ def test_partition_slope_recovers_ground_rate():
     slope = partition_slope(systems, -0.3 + 0j)
     # the zero mode contaminates the fit window slightly
     assert slope == pytest.approx(0.3, rel=2e-2)
+    # a small ground rate puts the fit window near t = 1e6
+    systems[0] = fake_system([-5e-6, 0.0, 1.0, 2.0])
+    assert partition_slope(systems, -5e-6 + 0j) == pytest.approx(5e-6, rel=2e-2)
+    # there an eigenvalue growing faster than the ground, as an uncertified
+    # one can, would overflow exp(-lambda t); Z(t) then grows at its rate
+    systems[0] = fake_system([-0.3, -5e-6, 0.0, 1.0, 2.0])
+    assert partition_slope(systems, -5e-6 + 0j) == pytest.approx(0.3, rel=2e-2)
 
 
 def test_pairing_check_langevin():
@@ -326,26 +330,94 @@ def test_convergence_masks_flag_low_modes():
         assert masks[k][low].all()
 
 
-def test_3d_guard_matches_the_full_block_guard():
-    # the dynamo benchmark config: shift-inverting the d-exact subspaces
-    # of the refined operator certifies exactly what shift-inverting each
-    # full refined block does
-    tol = Tolerances(tol_converge=1e-2)
+def full_block_guard(systems, fine, tol):
+    """The guard as one shift-invert of each full refined block per target:
+    the 12 lowest distinct eigenvalues of each degree, k = 6 eigenvalues
+    each, a complex solve at sigma + 1e-7j."""
+    masks = []
+    for k, s in enumerate(systems):
+        A = sp.csc_matrix(fine[k].matrix, dtype=complex)
+        ref = []
+        for sigma in _shift_targets(s.eigenvalues, 12):
+            try:
+                ref.extend(spla.eigs(A, k=6, sigma=complex(sigma) + 1e-7j,
+                                     which="LM", return_eigenvectors=False))
+            except (spla.ArpackNoConvergence, RuntimeError):
+                continue
+        mask = np.zeros(s.size, bool)
+        if ref:
+            mask[:48] = _drift_mask(s.eigenvalues[:48], np.asarray(ref), tol)
+        masks.append(mask)
+    return masks
 
+
+def test_3d_guard_matches_the_full_block_guard():
+    # the dynamo benchmark config and the Roberts flow: shift-inverting the
+    # d-exact subspaces of the refined operator certifies exactly what
+    # shift-inverting each full refined block does
+    tol = Tolerances(tol_converge=1e-2)
+    for flow, eta, counts in [(abc_field(1.0, 1.0, 1.0), 0.08, [4, 10, 10, 4]),
+                              (abc_field(1.0, 1.0, 0.0), 0.1, [3, 11, 11, 3])]:
+
+        def builder(lay):
+            return kd_operator(flow, eta, lay)
+
+        blocks = builder(BasisLayout(3, 2))
+        systems = [eigensolve(b, vectors=False) for b in blocks]
+        masks = convergence_masks(systems, builder, tol, blocks)
+        reference = full_block_guard(systems, builder(blocks.layout.refined()), tol)
+        for k in range(4):
+            assert np.array_equal(masks[k], reference[k]), (eta, k)
+        assert [int(m.sum()) for m in masks] == counts
+
+
+@pytest.fixture
+def eigs_shifts(monkeypatch):
+    """The shift of every sparse eigs call the test makes from here on."""
+    shifts = []
+    eigs = spla.eigs
+
+    def counted(*args, **kwargs):
+        shifts.append(kwargs["sigma"])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigs", counted)
+    return shifts
+
+
+def test_3d_guard_solves_a_conjugate_pair_of_targets_once(eigs_shifts):
+    # the dynamo benchmark config: 14 of the 36 shift targets are the
+    # conjugate of an earlier one
     def builder(lay):
         return kd_operator(abc_field(1.0, 1.0, 1.0), 0.08, lay)
 
     blocks = builder(BasisLayout(3, 2))
     systems = [eigensolve(b, vectors=False) for b in blocks]
-    masks = convergence_masks(systems, builder, tol, blocks)
-    fine = builder(blocks.layout.refined())
-    for k, s in enumerate(systems):
-        reference = np.zeros(s.size, bool)
-        ref = _refined_near(fine[k].matrix, _shift_targets(s.eigenvalues, 12))
-        if len(ref):
-            reference[:48] = _drift_mask(s.eigenvalues[:48], ref, tol)
-        assert np.array_equal(masks[k], reference), k
-    assert [int(m.sum()) for m in masks] == [4, 10, 10, 4]
+    convergence_masks(systems, builder, Tolerances(tol_converge=1e-2), blocks)
+    assert len(eigs_shifts) == 22
+
+
+def test_refined_near_mirrors_the_conjugate_target(eigs_shifts):
+    # a real sparse matrix and three conjugate pairs of targets: three
+    # solves, and a conjugation-closed set of what six would find
+    rng = np.random.default_rng(7)
+    A = sp.random(300, 300, density=0.03, random_state=rng, format="csc")
+    A = A + sp.diags(rng.uniform(0.0, 3.0, 300))
+    w = np.linalg.eigvals(A.toarray())
+    upper = w[w.imag > 0.1]
+    pairs = upper[np.argsort(upper.real)][:3]
+    targets = [t for lam in pairs for t in (lam + 0.01, np.conj(lam) + 0.01)]
+    C = sp.csc_matrix(A, dtype=complex)
+    reference = np.concatenate([
+        spla.eigs(C, k=6, sigma=complex(t) + 1e-7j, which="LM",
+                  return_eigenvectors=False)
+        for t in targets
+    ])
+    eigs_shifts.clear()
+    found = _refined_near(A, targets)
+    assert len(eigs_shifts) == 3
+    assert np.array_equal(np.sort_complex(found), np.sort_complex(np.conj(found)))
+    assert hausdorff_distance(found, reference) <= 1e-12
 
 
 def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
