@@ -73,59 +73,47 @@ def _check_dynamo(config):
             f"diffusivity), got {config.theta!r}")
 
 
-def run_pipeline(config, builder):
-    """Eigensolve the blocks ``builder(config)`` gives under the refinement
-    guard; returns the eigensystems, their pairing check and the report
-    payload."""
+def run_pipeline(config, builder, out_dir):
+    """The one guarded run of every spectral command: eigensolve the blocks
+    ``builder(config)`` gives under the refinement guard and write their
+    eigenvalue and trace tables into ``out_dir``.  Returns the systems,
+    their pairing check and the report document, whose ``converged``
+    check holds unless the verdict is indeterminate; commands add their
+    own payload fields and checks to it."""
     build = builder(config)
     tol = config.tolerances
     blocks = build(BasisLayout(config.dimension, config.truncation))
     systems = spectral.analyze(blocks, build, tol)
     pairing = spectral.pairing_check(systems, tol, blocks=blocks)
-    return systems, pairing, spectral.report(systems, pairing, tol, config.t_grid)
-
-
-def _base_outputs(config, payload, out_dir):
-    """Write the eigenvalue and trace tables of ``payload``; returns its
-    report document, to which commands add their fields and checks."""
+    payload = spectral.report(systems, pairing, tol, config.t_grid)
     write_eigenvalue_csv(Path(out_dir) / "eigenvalues.csv", payload["spectra"])
-    rows = [
-        (t, w[0], w[1], z[0], z[1])
-        for t, w, z in zip(
-            payload["witten"]["t"], payload["witten"]["w"],
-            payload["partition"]["z"],
-        )
-    ]
-    write_table_csv(
-        Path(out_dir) / "traces.csv", ["t", "w_re", "w_im", "z_re", "z_im"], rows
-    )
-    return ReportDocument(config.to_dict(), payload)
+    witten, z = payload["witten"], payload["partition"]["z"]
+    rows = [(t, *w_t, *z_t) for t, w_t, z_t in zip(witten["t"], witten["w"], z)]
+    write_table_csv(Path(out_dir) / "traces.csv",
+                    ["t", "w_re", "w_im", "z_re", "z_im"], rows)
+    checks = {"converged": payload["classification"] != spectral.INDETERMINATE}
+    return systems, pairing, ReportDocument(config.to_dict(), payload, checks)
 
 
 def cmd_spectrum(config, args, out_dir):
-    _, _, payload = run_pipeline(config, _seo_builder)
-    doc = _base_outputs(config, payload, out_dir)
-    doc.checks["converged"] = payload["classification"] != spectral.INDETERMINATE
-    return doc
+    return run_pipeline(config, _seo_builder, out_dir)[2]
 
 
 def cmd_witten(config, args, out_dir):
-    _, _, payload = run_pipeline(config, _seo_builder)
-    doc = _base_outputs(config, payload, out_dir)
-    worst = max(abs(complex(*w)) for w in payload["witten"]["w"])
-    payload["witten_max_abs"] = worst
+    _, _, doc = run_pipeline(config, _seo_builder, out_dir)
+    worst = max(abs(complex(*w)) for w in doc.payload["witten"]["w"])
+    doc.payload["witten_max_abs"] = worst
     doc.checks["witten_zero"] = worst <= _WITTEN_BOUND
     return doc
 
 
 def cmd_pair(config, args, out_dir):
-    _, pairing, payload = run_pipeline(config, _seo_builder)
-    doc = _base_outputs(config, payload, out_dir)
+    _, pairing, doc = run_pipeline(config, _seo_builder, out_dir)
     # vectorless systems (3-D) get only the even/odd multiset comparison
     partners, distance = pairing["partners"], pairing["even_odd_distance"]
-    payload["pairing_detail"] = {
+    doc.payload["pairing_detail"] = {
         "pairs": None if partners is None else len(partners),
-        "violations": payload["pairing_violations"],
+        "violations": doc.payload["pairing_violations"],
         "even_odd_distance": distance,
     }
     doc.checks["pairing"] = (not pairing["violations"]
@@ -236,11 +224,9 @@ def cmd_mc_compare(config, args, out_dir):
 
 def cmd_dynamo(config, args, out_dir):
     _check_dynamo(config)
-    systems, _, payload = run_pipeline(config, _kd_builder)
-    doc = _base_outputs(config, payload, out_dir)
-    label = payload["classification"]
-    doc.checks["converged"] = label != spectral.INDETERMINATE
-    if label in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):
+    systems, _, doc = run_pipeline(config, _kd_builder, out_dir)
+    payload = doc.payload
+    if payload["classification"] in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):
         flow = build_flow(config)
         layout = systems[0].layout
         rng = np.random.default_rng([config.seed, 1])
@@ -267,12 +253,17 @@ def cmd_langevin_check(config, args, out_dir):
         raise ConfigError("langevin-check needs a langevin-cos or langevin-double flow")
     if config.noise != "identity":
         raise ConfigError("langevin-check assumes the identity noise frame")
+    if config.theta <= 0:
+        raise ConfigError("langevin-check needs theta > 0, the oracle's temperature")
     # a 1e-8 equality claim is only meaningful on eigenvalues the
     # truncation has itself resolved to 1e-8, so both operators are
     # guarded at least that strictly
     tol = replace(config.tolerances,
                   tol_converge=min(config.tolerances.tol_converge, 1e-8))
-    systems, _, payload = run_pipeline(replace(config, tolerances=tol), _seo_builder)
+    systems, _, doc = run_pipeline(replace(config, tolerances=tol), _seo_builder,
+                                   out_dir)
+    # the user's config; the payload keeps the stricter tolerances
+    doc.config = config.to_dict()
     layout = systems[0].layout
 
     def hu_builder(lay):
@@ -290,14 +281,12 @@ def cmd_langevin_check(config, args, out_dir):
         for lam in h_conv[k]:
             gap = float(np.min(np.abs(hu_conv[k] - lam)))
             match_worst = max(match_worst, gap / max(1.0, abs(lam)))
-    # the user's config; the payload keeps the stricter tolerances
-    doc = _base_outputs(config, payload, out_dir)
     doc.checks.update({
         "spectrum_real": imag_worst <= 1e-8 * max(radius, 1.0),
         "matches_hermitian_oracle": match_worst <= 1e-8,
-        "unbroken": payload["classification"] == spectral.UNBROKEN,
+        "unbroken": doc.payload["classification"] == spectral.UNBROKEN,
     })
-    payload["langevin"] = {
+    doc.payload["langevin"] = {
         "max_imag": imag_worst,
         "oracle_mismatch": match_worst,
         "converged_counts": [int(len(v)) for v in h_conv],
@@ -344,7 +333,8 @@ def cmd_sweep(config, args, out_dir):
     for r in rows:
         counts[r[2]] = counts.get(r[2], 0) + 1
     return ReportDocument(
-        config.to_dict(), {"cells": len(rows), "classifications": counts}, {}
+        config.to_dict(), {"cells": len(rows), "classifications": counts},
+        {"converged": all(r[5] == "true" for r in rows)},
     )
 
 

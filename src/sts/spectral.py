@@ -9,7 +9,7 @@ observables.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from math import comb
+from math import ceil, comb
 
 import numpy as np
 import scipy.linalg as sla
@@ -204,17 +204,24 @@ def partition_function(systems, t_grid):
 
 
 def partition_slope(systems, ground_energy):
-    """Large-t log-slope of Z(t), fitted over t in [T, 2T], T = 3/|Re E_g|.
+    """Large-t log-slope of Z(t), fitted at 25 times from T = 3/|Re E_g|.
 
     For an exponentially growing trace the slope converges to -min Re of
     the eigenvalues, the ground rate when the ground eigenvalue has the
-    lowest real part.  The fit is of log|Z(t)| = c t + log|Z_c(t)|, with
-    Z_c the trace of exp(-t (H + c)) and c = -min Re: no exponent of Z_c
-    is positive, so a large T does not overflow.
+    lowest real part.  A real ``ground_energy`` is sampled evenly over
+    [T, 2T].  A complex one makes Z(t) oscillate as cos(|Im E_g| t), so
+    its samples lie a whole number of ground periods apart (the number
+    nearest T / 24, at least one) from the first period multiple at or
+    after T: each sees the same phase.  The fit is of log|Z(t)| = c t +
+    log|Z_c(t)|, with Z_c the trace of exp(-t (H + c)) and c = -min Re:
+    no exponent of Z_c is positive, so a large T does not overflow.
     """
     re = abs(ground_energy.real)
     T = 3.0 / re if re > 0 else 3.0
     t = np.linspace(T, 2.0 * T, 25)
+    if ground_energy.imag:
+        period = 2 * np.pi / abs(ground_energy.imag)
+        t = period * (ceil(T / period) + max(1, round(T / 24 / period)) * np.arange(25))
     c = -min(float(s.eigenvalues.real.min()) for s in systems)
     z = np.abs(_trace_samples(systems, t, signed=False, shift=c))
     return float(np.polyfit(t, c * t + np.log(z), 1)[0])
@@ -644,7 +651,8 @@ def report(systems, pairing, tol, t_grid):
     and holds the zero-mode and pairing summaries, the Witten and
     partition trace samples on ``t_grid``, the classification, its
     ground state (null when indeterminate), the partition slope (fitted
-    only on a broken verdict) and the tolerances.
+    only on a broken verdict, at the real part of a broken-real ground
+    energy, whatever its roundoff) and the tolerances.
     """
     label = classify(systems, tol)
     ground = slope = None
@@ -654,7 +662,7 @@ def report(systems, pairing, tol, t_grid):
         ground = {"degree": g["degree"], "index": g["index"],
                   "re": float(e.real), "im": float(e.imag)}
         if label in (BROKEN_REAL, BROKEN_COMPLEX):
-            slope = partition_slope(systems, e)
+            slope = partition_slope(systems, e if label == BROKEN_COMPLEX else e.real)
     spectra = [
         [{"degree": k, "index": n, "re": float(lam.real), "im": float(lam.imag),
           "converged": bool(ok)}

@@ -202,18 +202,36 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", missing, "--out", str(tmp_path)]) == 2
 
 
-def test_cli_indeterminate_exit_code(tmp_path, monkeypatch):
-    # a guard that certifies nothing leaves no verdict and no ground state
+# the 1-D commands run on MINIMAL
+_INDETERMINATE_DOCS = {
+    "dynamo": {"dimension": 3, "truncation": 1, "theta": 0.1,
+               "flow": {"preset": "abc"}},
+    "sweep": {**MINIMAL, "flow": {"preset": "random"},
+              "sweep": {"theta": [0.3, 0.6], "parameter": "seed",
+                        "values": [1, 2]}},
+}
+
+
+@pytest.mark.parametrize("command", [
+    "classify", "spectrum", "witten", "pair", "langevin-check", "dynamo",
+    "sweep",
+])
+def test_cli_indeterminate_exit_code(tmp_path, monkeypatch, command):
+    # a guard that certifies nothing leaves no verdict and no ground state,
+    # which every spectral command reports as not converged
     monkeypatch.setattr(
         sts.spectral, "convergence_masks",
-        lambda systems, builder, tol, blocks:
-        [np.zeros(s.size, bool) for s in systems])
-    cfg = write_config(tmp_path, MINIMAL)
+        lambda systems, *args: [np.zeros(s.size, bool) for s in systems])
+    cfg = write_config(tmp_path, _INDETERMINATE_DOCS.get(command, MINIMAL))
     out = tmp_path / "out"
-    assert main(["classify", "--config", cfg, "--out", str(out)]) == 3
-    payload = json.loads((out / "report.json").read_text())["payload"]
-    assert payload["classification"] == "indeterminate"
-    assert payload["ground"] is None
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["checks"]["converged"] is False
+    if command == "sweep":
+        assert report["payload"]["classifications"] == {"indeterminate": 4}
+    else:
+        assert report["payload"]["classification"] == "indeterminate"
+        assert report["payload"]["ground"] is None
 
 
 def test_cli_deterministic_limit_is_classified(tmp_path):
@@ -480,7 +498,7 @@ def test_cli_sweep_cells_agree_with_spectrum(tmp_path, dimension, truncation):
 
 
 def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):
-    # a sweep records a failed cell and goes on; a single run exits 3
+    # a sweep records a failed cell and goes on, and both exit 3
     def fail(block, vectors=True):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
 
@@ -489,7 +507,7 @@ def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):
            "sweep": {"theta": [0.5], "parameter": "seed", "values": [1]}}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
     rows = (out / "sweep.csv").read_text().strip().split("\n")
     assert rows[1].strip() == "0.5,1,indeterminate,,,false"
     capsys.readouterr()
@@ -566,6 +584,8 @@ _OUT_OF_RANGE = [
     # theta is the dynamo's magnetic diffusivity, and its noise is fixed
     _case("dynamo-theta-0", "dynamo", {**_ABC, "theta": 0}),
     _case("dynamo-theta-0-override", "dynamo", _ABC, "--theta", "0"),
+    # theta is the Hermitian oracle's temperature
+    _case("langevin-check-theta-0", "langevin-check", {**MINIMAL, "theta": 0}),
     _case("dynamo-noise", "dynamo",
           {**_ABC, "noise": [[{**_NOISE_MODE, "wavevector": [1, 0, 0]}]]}),
     # every spectral command runs the refinement guard, and a sweep

@@ -167,6 +167,15 @@ def test_partition_slope_recovers_ground_rate():
     assert partition_slope(systems, -5e-6 + 0j) == pytest.approx(0.3, rel=2e-2)
 
 
+def test_partition_slope_recovers_a_complex_ground_rate(abc_report):
+    # the ABC window's ground is a resonance pair, so Z(t) oscillates as
+    # cos(omega t): sampled in phase it still grows at -Re E_g, to AC12's 5 %
+    _, _, payload = abc_report
+    assert payload["classification"] == BROKEN_COMPLEX
+    rate = -payload["ground"]["re"]
+    assert payload["partition"]["slope"] == pytest.approx(rate, rel=0.05)
+
+
 def test_pairing_check_langevin():
     blocks = seo_alpha(langevin_cos_model())
     systems = [eigensolve(b) for b in blocks]
