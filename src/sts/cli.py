@@ -78,8 +78,9 @@ def run_pipeline(config, builder, out_dir):
     ``builder(config)`` gives under the refinement guard and write their
     eigenvalue and trace tables into ``out_dir``.  Returns the systems,
     their pairing check and the report document, whose ``converged``
-    check holds unless the verdict is indeterminate; commands add their
-    own payload fields and checks to it."""
+    check holds unless the verdict is indeterminate or a W(t) or Z(t)
+    sample is not finite; commands add their own payload fields and
+    checks to it."""
     build = builder(config)
     tol = config.tolerances
     blocks = build(BasisLayout(config.dimension, config.truncation))
@@ -91,7 +92,10 @@ def run_pipeline(config, builder, out_dir):
     rows = [(t, *w_t, *z_t) for t, w_t, z_t in zip(witten["t"], witten["w"], z)]
     write_table_csv(Path(out_dir) / "traces.csv",
                     ["t", "w_re", "w_im", "z_re", "z_im"], rows)
-    checks = {"converged": payload["classification"] != spectral.INDETERMINATE}
+    # an overflowed trace sample (inf or nan) is not a converged result
+    finite = all(math.isfinite(v) for row in rows for v in row)
+    checks = {"converged": finite
+              and payload["classification"] != spectral.INDETERMINATE}
     return systems, pairing, ReportDocument(config.to_dict(), payload, checks)
 
 
@@ -101,7 +105,9 @@ def cmd_spectrum(config, args, out_dir):
 
 def cmd_witten(config, args, out_dir):
     _, _, doc = run_pipeline(config, _seo_builder, out_dir)
-    worst = max(abs(complex(*w)) for w in doc.payload["witten"]["w"])
+    samples = [abs(complex(*w)) for w in doc.payload["witten"]["w"]]
+    # max() would skip a nan that is not the first sample
+    worst = math.nan if any(map(math.isnan, samples)) else max(samples)
     doc.payload["witten_max_abs"] = worst
     doc.checks["witten_zero"] = worst <= _WITTEN_BOUND
     return doc

@@ -223,8 +223,9 @@ def parse_config(text):
     seed = raw.get("seed", 0)
     _require(_is_int(seed, 0), "seed must be a nonnegative integer")
     t_grid = raw.get("t_grid", [0.1, 1.0, 10.0])
-    _require(isinstance(t_grid, list) and all(_is_number(t) and t > 0 for t in t_grid),
-             "t_grid must be a list of positive numbers")
+    _require(isinstance(t_grid, list) and t_grid
+             and all(_is_number(t) and t > 0 for t in t_grid),
+             "t_grid must be a nonempty list of positive numbers")
     output = raw.get("output", ".")
     _require(isinstance(output, str), "output must be a string")
 

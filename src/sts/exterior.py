@@ -10,7 +10,7 @@ exactly at finite truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,30 +54,18 @@ class OperatorBlock:
     __rmul__ = __mul__
 
 
-# -- sign bookkeeping for increasing multi-indices ---------------------------
+# -- the ghost sign rule ------------------------------------------------------
 
 
-def insert_sign(axis, multi_index):
-    """Sign of dx^axis wedged in front of dx^I, axis not in I."""
-    return -1.0 if sum(1 for a in multi_index if a < axis) % 2 else 1.0
+def ghost_sign(axis, multi_index):
+    """(-1) to the number of axes of dx^I below ``axis``.
 
-
-def remove_sign(axis, multi_index):
-    """Sign of contracting dx^axis out of dx^I, axis in I."""
-    return -1.0 if multi_index.index(axis) % 2 else 1.0
-
-
-def complement_sign(multi_index, dimension):
-    """Levi-Civita sign of the permutation (I, complement(I))."""
-    comp = tuple(a for a in range(1, dimension + 1) if a not in multi_index)
-    perm = multi_index + comp
-    sign = 1.0
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign, comp
+    dx^axis ^ and iota_axis are the creation and annihilation operators of
+    the ghost dx^axis; moving it past the ghosts of I below it into the
+    increasing multi-index of the result, whether it is inserted there or
+    removed from there, costs this sign.
+    """
+    return -1.0 if sum(a < axis for a in multi_index) % 2 else 1.0
 
 
 # -- scalar building blocks ---------------------------------------------------
@@ -95,18 +83,15 @@ def conv_matrix(f, layout):
     The product is a wavevector convolution sharply truncated to the
     layout box: out(kappa + mu) += f_hat(mu) * in(kappa).
     """
-    N, D = layout.truncation, layout.dimension
     modes = layout.modes()
     n = layout.n_modes
-    weights = (2 * N + 1) ** np.arange(D - 1, -1, -1)
-    flat = (modes + N) @ weights
     rows, cols, vals = [], [], []
     for mu, c in f.coeffs.items():
         target = modes + np.asarray(mu)
-        ok = np.all(np.abs(target) <= N, axis=1)
-        rows.append(((target[ok] + N) @ weights))
-        cols.append(flat[ok])
-        vals.append(np.full(int(ok.sum()), c, dtype=complex))
+        ok = np.all(np.abs(target) <= layout.truncation, axis=1)
+        rows.append(layout.mode_index(target[ok]))
+        cols.append(np.flatnonzero(ok))
+        vals.append(np.full(len(cols[-1]), c, dtype=complex))
     if not rows:
         return sp.csr_matrix((n, n), dtype=complex)
     return sp.csr_matrix(
@@ -138,36 +123,37 @@ def _channel_map(layout, k_in, k_out, entries):
     )
 
 
-def _wedge_map(layout, k, factors):
-    """Sum over axes of dx^axis ^ (factors[axis - 1] on every channel).
+def _ghost_terms(layout, k, step):
+    """The (rank_out, rank_in, sign, axis) terms of dx^axis ^ (step +1) or
+    iota_axis (step -1) from degree k to k + step.
 
-    Maps degree k to k + 1; a factor of None is a vanishing term.
+    Each dx^I has one term per axis absent from I (wedge) or present in I
+    (contraction), with the ghost sign of :func:`ghost_sign`.
     """
-    mi_out = layout.multi_indices(k + 1)
-    entries = [
-        (mi_out.index(tuple(sorted(I + (axis,)))), r_in,
-         insert_sign(axis, I) * factors[axis - 1])
+    D = layout.dimension
+    if not (0 <= k <= D and 0 <= k + step <= D):
+        raise DegreeError(f"no map from degree {k} to degree {k + step} on T^{D}")
+    mi_out = layout.multi_indices(k + step)
+    return [
+        (mi_out.index(tuple(sorted(set(I) ^ {axis}))), r_in,
+         ghost_sign(axis, I), axis)
         for r_in, I in enumerate(layout.multi_indices(k))
-        for axis in range(1, layout.dimension + 1)
-        if axis not in I and factors[axis - 1] is not None
+        for axis in range(1, D + 1)
+        if (axis in I) == (step < 0)
     ]
-    return OperatorBlock(k, k + 1, layout, _channel_map(layout, k, k + 1, entries))
 
 
-def _contraction_map(layout, k, factors):
-    """Sum over axes of factors[axis - 1] times the contraction iota_axis.
+def _ghost_map(layout, k, step, factors):
+    """Sum over axes of dx^axis ^ (step +1) or iota_axis (step -1) times
+    factors[axis - 1] on every channel, each term with its ghost sign.
 
-    Maps degree k to k - 1; a factor of None is a vanishing term.
+    Maps degree k to k + step; a factor of None is a vanishing term.
     """
-    mi_out = layout.multi_indices(k - 1)
-    entries = [
-        (mi_out.index(tuple(a for a in I if a != axis)), r_in,
-         remove_sign(axis, I) * factors[axis - 1])
-        for r_in, I in enumerate(layout.multi_indices(k))
-        for axis in I
-        if factors[axis - 1] is not None
-    ]
-    return OperatorBlock(k, k - 1, layout, _channel_map(layout, k, k - 1, entries))
+    entries = [(r_out, r_in, sign * factors[axis - 1])
+               for r_out, r_in, sign, axis in _ghost_terms(layout, k, step)
+               if factors[axis - 1] is not None]
+    return OperatorBlock(k, k + step, layout,
+                         _channel_map(layout, k, k + step, entries))
 
 
 def _conv_factors(components, layout):
@@ -179,10 +165,8 @@ def _conv_factors(components, layout):
 
 def d_matrix(layout, k):
     """Exterior derivative Omega^k -> Omega^{k+1}; block-diagonal in kappa."""
-    if not 0 <= k < layout.dimension:
-        raise DegreeError(f"exterior derivative undefined at degree {k}")
     axes = range(1, layout.dimension + 1)
-    return _wedge_map(layout, k, [diff_matrix(layout, a) for a in axes])
+    return _ghost_map(layout, k, 1, [diff_matrix(layout, a) for a in axes])
 
 
 def exact_basis(layout, j):
@@ -200,13 +184,12 @@ def exact_basis(layout, j):
     D = layout.dimension
     n = layout.n_modes
     plus = np.arange(n // 2 + 1, n)
-    # K[m, r_out, r_in] = Im d[r_out n + plus[m], r_in n + plus[m]]
-    at = plus[:, None, None]
-    rows, cols = np.broadcast_arrays(
-        np.arange(comb(D, j + 1))[:, None] * n + at,
-        np.arange(comb(D, j))[None, :] * n + at)
-    d = d_matrix(layout, j).matrix
-    K = np.asarray(d[rows.ravel(), cols.ravel()]).reshape(rows.shape).imag
+    kappa = layout.modes()[plus].astype(float)
+    # K[m, r_out, r_in] = sign kappa_axis at plus[m]; + 0.0 clears the
+    # signed zeros, which would move the SVD's output
+    K = np.zeros((len(plus), comb(D, j + 1), comb(D, j)))
+    for r_out, r_in, sign, axis in _ghost_terms(layout, j, 1):
+        K[:, r_out, r_in] = sign * kappa[:, axis - 1] + 0.0
     rank = comb(D - 1, j)
     u = np.linalg.svd(K, full_matrices=False)[0][:, :, :rank] / np.sqrt(2.0)
     mode, r_out, c = np.indices(u.shape)
@@ -226,10 +209,8 @@ def exact_basis(layout, j):
 
 def codifferential_matrix(layout, k):
     """Euclidean codifferential Omega^k -> Omega^{k-1}: -sum_i iota_i d_i."""
-    if not 1 <= k <= layout.dimension:
-        raise DegreeError(f"codifferential undefined at degree {k}")
     axes = range(1, layout.dimension + 1)
-    return _contraction_map(layout, k, [-diff_matrix(layout, a) for a in axes])
+    return _ghost_map(layout, k, -1, [-diff_matrix(layout, a) for a in axes])
 
 
 def multiply_matrix(f, layout, k):
@@ -246,18 +227,14 @@ def interior_matrix(G, layout, k):
     iota_G = sum_i G^i iota_i with the component multiplications realized
     as truncated convolutions.
     """
-    if not 1 <= k <= layout.dimension:
-        raise DegreeError(f"interior product undefined at degree {k}")
     if G.dimension != layout.dimension:
         raise ValueError("flow dimension does not match layout")
-    return _contraction_map(layout, k, _conv_factors(G.components, layout))
+    return _ghost_map(layout, k, -1, _conv_factors(G.components, layout))
 
 
 def one_form_wedge_matrix(components, layout, k):
     """Exterior multiplication by the 1-form sum_i components[i] dx^i."""
-    if not 0 <= k < layout.dimension:
-        raise DegreeError(f"wedge by a 1-form undefined at degree {k}")
-    return _wedge_map(layout, k, _conv_factors(components, layout))
+    return _ghost_map(layout, k, 1, _conv_factors(components, layout))
 
 
 def hodge_star_matrix(layout, k):
@@ -265,14 +242,15 @@ def hodge_star_matrix(layout, k):
     if not 0 <= k <= layout.dimension:
         raise DegreeError(f"degree {k} outside 0..{layout.dimension}")
     D = layout.dimension
-    mi_in = layout.multi_indices(k)
     mi_out = layout.multi_indices(D - k)
     eye = sp.identity(layout.n_modes, dtype=complex, format="csr")
     entries = []
-    for r_in, I in enumerate(mi_in):
-        sign, comp = complement_sign(I, D)
-        r_out = mi_out.index(comp)
-        entries.append((r_out, r_in, sign * eye))
+    for r_in, I in enumerate(layout.multi_indices(k)):
+        # Levi-Civita sign of (I, complement(I)): each ghost of I moves
+        # past the complement's ghosts below it
+        comp = tuple(a for a in range(1, D + 1) if a not in I)
+        sign = prod((ghost_sign(a, comp) for a in I), start=1.0)
+        entries.append((mi_out.index(comp), r_in, sign * eye))
     return OperatorBlock(k, D - k, layout, _channel_map(layout, k, D - k, entries))
 
 

@@ -234,6 +234,22 @@ def test_cli_indeterminate_exit_code(tmp_path, monkeypatch, command):
         assert report["payload"]["ground"] is None
 
 
+def test_cli_nonfinite_trace_exits_3(tmp_path):
+    # at t = 20000 an uncertified eigenvalue with Re E < 0 overflows the
+    # traces of an unbroken ABC verdict: W(t) is nan and Z(t) is -inf
+    doc = {"dimension": 3, "truncation": 2, "theta": 0.08,
+           "flow": {"preset": "abc"}, "tolerances": {"tol_converge": 1e-2},
+           "t_grid": [1, 20000]}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["witten", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["payload"]["classification"] == "unbroken"
+    assert report["checks"]["converged"] is False
+    assert report["checks"]["witten_zero"] is False
+    assert np.isnan(report["payload"]["witten_max_abs"])
+
+
 def test_cli_deterministic_limit_is_classified(tmp_path):
     # theta = 0 drift: the guard certifies the zero modes, and the verdict
     # agrees with the reported ground state
@@ -548,6 +564,7 @@ _OUT_OF_RANGE = [
     _case("alpha-3", "spectrum", MINIMAL, "--alpha", "3"),
     _case("t-grid-text", "spectrum", MINIMAL, "--t-grid", "0.1,abc"),
     _case("t-grid-negative", "spectrum", MINIMAL, "--t-grid", "-1"),
+    _case("t-grid-empty", "spectrum", {**MINIMAL, "t_grid": []}),
     _case("seed-negative", "spectrum", MINIMAL, "--seed", "-1"),
     _case("dimension-bool", "spectrum", {**MINIMAL, "dimension": True}),
     _case("truncation-bool", "spectrum", {**MINIMAL, "truncation": True}),

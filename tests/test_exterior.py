@@ -217,9 +217,16 @@ def test_one_form_wedge_is_leibniz_compatible():
 
 def test_degree_errors():
     lay = BasisLayout(2, 1)
-    with pytest.raises(DegreeError):
-        d_matrix(lay, 2)
-    with pytest.raises(DegreeError):
-        codifferential_matrix(lay, 0)
-    with pytest.raises(DegreeError):
-        interior_matrix(FlowField.unit(2, 0), lay, 0)
+    G = FlowField.unit(2, 0)
+    one_form = [TrigField.cos(2, 0), TrigField.sin(2, 1)]
+    # wedges map 0..D-1 up, contractions 1..D down; one past each end fails
+    for k in (-1, 2):
+        with pytest.raises(DegreeError):
+            d_matrix(lay, k)
+        with pytest.raises(DegreeError):
+            one_form_wedge_matrix(one_form, lay, k)
+    for k in (0, 3):
+        with pytest.raises(DegreeError):
+            codifferential_matrix(lay, k)
+        with pytest.raises(DegreeError):
+            interior_matrix(G, lay, k)
