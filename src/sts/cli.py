@@ -43,6 +43,8 @@ EXIT_NONCONVERGED = 3
 EXIT_CHECK_FAILED = 4
 
 _WITTEN_BOUND = 1e-6
+# an overflowed model, step count or solve: a result, not a traceback
+_NUMERICAL_FAILURES = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 
 
 def _seo_builder(config):
@@ -173,10 +175,10 @@ def _write_density_table(path, columns):
     first = next(iter(columns.values()))
     if first.ndim == 1:
         bins = len(first)
-        key, where = "x", map(float, (np.arange(bins) + 0.5) * 2 * np.pi / bins)
+        key, where = "x", (np.arange(bins) + 0.5) * 2 * np.pi / bins
     else:
         key, where = "cell", range(first.size)
-    values = (map(float, v.ravel()) for v in columns.values())
+    values = (v.ravel() for v in columns.values())
     write_table_csv(path, [key, *columns], zip(where, *values))
 
 
@@ -311,14 +313,13 @@ def _sweep_cell(config, theta, value):
     try:
         blocks = build(BasisLayout(config.dimension, config.truncation))
         systems = spectral.analyze(blocks, build, tol, vectors=False)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        return (theta, value, spectral.INDETERMINATE, "", "", "false")
+    except _NUMERICAL_FAILURES:
+        return (theta, value, spectral.INDETERMINATE, None, None, False)
     label = spectral.classify(systems, tol)
     if label == spectral.INDETERMINATE:
-        return (theta, value, label, "", "", "false")
+        return (theta, value, label, None, None, False)
     e = spectral.ground_state(systems, tol)["energy"]
-    return (theta, value, label,
-            repr(float(e.real)), repr(float(e.imag)), "true")
+    return (theta, value, label, e.real, e.imag, True)
 
 
 def cmd_sweep(config, args, out_dir):
@@ -340,7 +341,7 @@ def cmd_sweep(config, args, out_dir):
         counts[r[2]] = counts.get(r[2], 0) + 1
     return ReportDocument(
         config.to_dict(), {"cells": len(rows), "classifications": counts},
-        {"converged": all(r[5] == "true" for r in rows)},
+        {"converged": all(r[5] for r in rows)},
     )
 
 
@@ -445,7 +446,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"sts: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"sts: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     doc.timing = time.perf_counter() - started

@@ -78,18 +78,22 @@ class ModelConfig:
         return canonical_json(self.to_dict())
 
 
-def _json_default(o):
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
+def _plain(o):
+    """``o`` with numpy scalars as Python ones and every non-finite float
+    as None, so that it is written as RFC 8259 JSON (null)."""
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    if isinstance(o, (float, np.floating)):
+        return float(o) if math.isfinite(o) else None
+    if isinstance(o, (np.bool_, np.integer)):
+        return o.item()
+    return o
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _require(cond, msg):

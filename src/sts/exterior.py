@@ -15,7 +15,7 @@ from math import comb, prod
 import numpy as np
 import scipy.sparse as sp
 
-from .layout import BasisLayout, FormVector
+from .layout import BasisLayout
 
 
 class DegreeError(ValueError):
@@ -24,7 +24,9 @@ class DegreeError(ValueError):
 
 @dataclass
 class OperatorBlock:
-    """A linear map from degree k_in coefficients to degree k_out."""
+    """The degree block of an evolution operator, from degree k_in to k_out.
+
+    The elementary operators below return bare sparse matrices."""
 
     k_in: int
     k_out: int
@@ -42,16 +44,6 @@ class OperatorBlock:
     @property
     def dense(self):
         return self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
-
-    def apply(self, form):
-        if form.degree != self.k_in or form.layout != self.layout:
-            raise ValueError("form does not match operator domain")
-        return FormVector(self.k_out, self.layout, self.matrix @ form.coeffs)
-
-    def __mul__(self, scalar):
-        return OperatorBlock(self.k_in, self.k_out, self.layout, self.matrix * scalar)
-
-    __rmul__ = __mul__
 
 
 # -- the ghost sign rule ------------------------------------------------------
@@ -152,8 +144,7 @@ def _ghost_map(layout, k, step, factors):
     entries = [(r_out, r_in, sign * factors[axis - 1])
                for r_out, r_in, sign, axis in _ghost_terms(layout, k, step)
                if factors[axis - 1] is not None]
-    return OperatorBlock(k, k + step, layout,
-                         _channel_map(layout, k, k + step, entries))
+    return _channel_map(layout, k, k + step, entries)
 
 
 def _conv_factors(components, layout):
@@ -218,7 +209,7 @@ def multiply_matrix(f, layout, k):
     mi = layout.multi_indices(k)
     conv = conv_matrix(f, layout)
     entries = [(r, r, conv) for r in range(len(mi))]
-    return OperatorBlock(k, k, layout, _channel_map(layout, k, k, entries))
+    return _channel_map(layout, k, k, entries)
 
 
 def interior_matrix(G, layout, k):
@@ -251,14 +242,12 @@ def hodge_star_matrix(layout, k):
         comp = tuple(a for a in range(1, D + 1) if a not in I)
         sign = prod((ghost_sign(a, comp) for a in I), start=1.0)
         entries.append((mi_out.index(comp), r_in, sign * eye))
-    return OperatorBlock(k, D - k, layout, _channel_map(layout, k, D - k, entries))
+    return _channel_map(layout, k, D - k, entries)
 
 
 def hodge_star_inverse_matrix(layout, k):
     """Inverse star Omega^k -> Omega^{D-k}: (-1)^{k(D-k)} times the star."""
-    D = layout.dimension
-    sign = -1.0 if (k * (D - k)) % 2 else 1.0
-    return sign * hodge_star_matrix(layout, k)
+    return hodge_star_matrix(layout, k) * (-1.0) ** (k * (layout.dimension - k))
 
 
 def integrate_top(psi):

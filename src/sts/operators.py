@@ -117,7 +117,7 @@ def _blocks(matrices, layout):
 
 def _derivatives(layout):
     """The exterior derivatives d: degree j -> j + 1 for j = 0..D-1."""
-    return [d_matrix(layout, j).matrix for j in range(layout.dimension)]
+    return [d_matrix(layout, j) for j in range(layout.dimension)]
 
 
 def _graded_anticommutator(up, down, layout):
@@ -149,10 +149,8 @@ def lie_matrices(G, layout, d=None):
     """
     if d is None:
         d = _derivatives(layout)
-    iota = [None] + [
-        interior_matrix(G, layout, j).matrix
-        for j in range(1, layout.dimension + 1)
-    ]
+    degrees = range(1, layout.dimension + 1)
+    iota = [None] + [interior_matrix(G, layout, j) for j in degrees]
     return _graded_anticommutator(d, iota, layout)
 
 
@@ -240,10 +238,8 @@ def hodge_laplacian_blocks(layout):
     Assembled from the codifferential rather than from Lie derivatives,
     so it is an independent oracle for the diffusive part of the dynamo.
     """
-    delta = [None] + [
-        codifferential_matrix(layout, j).matrix
-        for j in range(1, layout.dimension + 1)
-    ]
+    degrees = range(1, layout.dimension + 1)
+    delta = [None] + [codifferential_matrix(layout, j) for j in degrees]
     return _blocks(
         _graded_anticommutator(_derivatives(layout), delta, layout), layout
     )
@@ -283,7 +279,7 @@ def langevin_hermitian_blocks(U, theta, layout):
         raise ValueError("positive temperature required")
     grad = [U.diff(j) for j in range(layout.dimension)]
     dU = [
-        d - one_form_wedge_matrix(grad, layout, j).matrix / (2.0 * theta)
+        d - one_form_wedge_matrix(grad, layout, j) / (2.0 * theta)
         for j, d in enumerate(_derivatives(layout))
     ]
     adjoint = [None] + [m.conj().T for m in dU]

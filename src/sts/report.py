@@ -14,6 +14,8 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import canonical_json
 
@@ -47,30 +49,25 @@ class ReportDocument:
 
 
 def write_eigenvalue_csv(path, spectra):
-    """Eigenvalue table with columns degree,index,re,im,converged.
-
-    ``spectra`` is the per-degree list of row dicts of a
-    ``spectral.report`` payload's ``"spectra"``.
-    """
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["degree", "index", "re", "im", "converged"])
-        for rows in spectra:
-            for r in rows:
-                w.writerow(
-                    [r["degree"], r["index"], repr(r["re"]), repr(r["im"]),
-                     str(r["converged"]).lower()]
-                )
-    return path
+    """Eigenvalue table with columns degree,index,re,im,converged, from
+    the per-degree row dicts of a ``spectral.report`` payload's spectra."""
+    header = ["degree", "index", "re", "im", "converged"]
+    rows = ([r[key] for key in header] for degree in spectra for r in degree)
+    return write_table_csv(path, header, rows)
 
 
 def write_table_csv(path, header, rows):
-    """Generic small numeric table (t/W/Z samples, densities, sweeps)."""
+    """The one CSV writer, and the one place a value becomes cell text: a
+    float, numpy's included, is the repr of the Python float, a bool is
+    true or false, None is an empty cell and anything else its str."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        w.writerows([cell(v) for v in row] for row in rows)
     return path

@@ -133,8 +133,8 @@ def _real_eig(block, vectors):
     real forms, and U^H A U is real for the cos/sin basis U of
     ``BasisLayout.real_basis``.  Returns ``(w, W, U)``: complex
     eigenvalues, vectors in that basis (None without vectors) and U.
-    Raises ValueError, through :func:`_real_part`, on a block that is
-    not finite or not real there.
+    Raises, through :func:`_real_part`, FloatingPointError on a block
+    that is not finite and ValueError on one that is not real there.
     """
     U = block.layout.real_basis(block.k_in)
     R = _real_part(U.conj().T @ block.matrix @ U).toarray()
@@ -147,13 +147,13 @@ def _real_eig(block, vectors):
 def _real_part(M):
     """Real part of a sparse matrix whose imaginary part must be roundoff.
 
-    Raises ValueError on non-finite entries, and on an imaginary part
-    above 1e-12 of the largest real entry: one of the operator's fields
-    is then not real.
+    Raises FloatingPointError on non-finite entries (an overflowed
+    model), and ValueError on an imaginary part above 1e-12 of the
+    largest real entry: one of the operator's fields is then not real.
     """
     M = M.tocsr()
     if not np.all(np.isfinite(M.data)):
-        raise ValueError("operator block contains non-finite entries")
+        raise FloatingPointError("operator block contains non-finite entries")
     imag = np.abs(M.data.imag).max(initial=0.0)
     if imag > _REAL_TOL * np.abs(M.data.real).max(initial=0.0):
         raise ValueError(
@@ -250,7 +250,7 @@ def pairing_check(systems, tol, *, blocks):
         return out
     layout = systems[0].layout
     D = layout.dimension
-    d_mats = [d_matrix(layout, k).matrix for k in range(D)]
+    d_mats = [d_matrix(layout, k) for k in range(D)]
     partners = []
     violations = []
     for k, s in enumerate(systems):
@@ -365,8 +365,8 @@ def adjoint_check(H_blocks, HT_blocks):
     D = layout.dimension
     out = []
     for k in range(D + 1):
-        star = hodge_star_matrix(layout, k).matrix
-        star_inv = hodge_star_inverse_matrix(layout, D - k).matrix
+        star = hodge_star_matrix(layout, k)
+        star_inv = hodge_star_inverse_matrix(layout, D - k)
         lhs = H_blocks[k].dense.conj().T
         rhs = (star_inv @ HT_blocks[D - k].matrix @ star).toarray()
         out.append(
@@ -437,7 +437,7 @@ def expectation(f, ground, systems=None):
     imaginary part is returned as a sanity residual.
     """
     right, left, k, layout = _ground_vectors(ground, systems)
-    val = left @ (multiply_matrix(f, layout, k).matrix @ right)
+    val = left @ (multiply_matrix(f, layout, k) @ right)
     return float(val.real), float(abs(val.imag))
 
 
@@ -451,13 +451,9 @@ def response(f_field, ground, systems=None):
     D = layout.dimension
     out = np.zeros_like(right)
     if k < D:
-        out += interior_matrix(f_field, layout, k + 1).matrix @ (
-            d_matrix(layout, k).matrix @ right
-        )
+        out += interior_matrix(f_field, layout, k + 1) @ (d_matrix(layout, k) @ right)
     if k > 0:
-        out += d_matrix(layout, k - 1).matrix @ (
-            interior_matrix(f_field, layout, k).matrix @ right
-        )
+        out += d_matrix(layout, k - 1) @ (interior_matrix(f_field, layout, k) @ right)
     return complex(left @ out)
 
 

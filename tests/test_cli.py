@@ -26,6 +26,7 @@ from sts.config import (
     canonical_json,
     parse_config,
 )
+from sts.report import write_table_csv
 from sts.trig import TrigField
 
 MINIMAL = {
@@ -107,11 +108,18 @@ def test_config_round_trip_byte_identical():
     assert once == twice
 
 
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
 def test_canonical_json_handles_numpy_scalars():
+    # a non-finite float, numpy's included, is null, never a NaN token
     text = canonical_json(
-        {"a": np.bool_(True), "b": np.int64(3), "c": np.float64(0.5)}
+        {"a": np.bool_(True), "b": np.int64(3), "c": np.float64(0.5),
+         "d": [float("nan"), np.float64("-inf")]}
     )
-    assert json.loads(text) == {"a": True, "b": 3, "c": 0.5}
+    assert json.loads(text, parse_constant=_refuse_constant) == {
+        "a": True, "b": 3, "c": 0.5, "d": [None, None]}
 
 
 def test_build_flow_presets():
@@ -194,6 +202,12 @@ def test_csv_is_rfc4180(tmp_path):
     assert raw.count(b"\r\n") == len([l for l in lines if l]) or raw.endswith(b"\r\n")
 
 
+def test_table_csv_formats_every_cell_in_one_place(tmp_path):
+    path = write_table_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
+                           [(np.float64(0.1), True, None, 3)])
+    assert path.read_bytes() == b"a,b,c,d\r\n0.1,true,,3\r\n"
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -243,11 +257,13 @@ def test_cli_nonfinite_trace_exits_3(tmp_path):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     assert main(["witten", "--config", cfg, "--out", str(out)]) == 3
-    report = json.loads((out / "report.json").read_text())
+    # RFC 8259 JSON: a non-finite number is null, never a NaN or Infinity token
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_refuse_constant)
     assert report["payload"]["classification"] == "unbroken"
     assert report["checks"]["converged"] is False
     assert report["checks"]["witten_zero"] is False
-    assert np.isnan(report["payload"]["witten_max_abs"])
+    assert report["payload"]["witten_max_abs"] is None
 
 
 def test_cli_deterministic_limit_is_classified(tmp_path):
@@ -531,6 +547,44 @@ def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("sts: numerical failure")
     assert "Traceback" not in err
+
+
+_LANGEVIN_HOT = {**MINIMAL, "truncation": 4, "theta": 1e308}
+_OVERFLOWS = [
+    pytest.param(command, _LANGEVIN_HOT, [], id=command)
+    for command in ("spectrum", "witten", "pair", "langevin-check", "mc-compare")
+] + [
+    pytest.param("spectrum", {"dimension": 2, "truncation": 2, "theta": 0.5,
+                              "flow": {"preset": "drift",
+                                       "params": {"c": [1e308, 1e308]}}},
+                 [], id="spectrum-2d-drift"),
+    pytest.param("dynamo", {"dimension": 3, "truncation": 1, "theta": 1e308,
+                            "flow": {"preset": "abc"}}, [], id="dynamo"),
+    pytest.param("mc-compare", {**MINIMAL, "truncation": 4},
+                 ["--t", "1e308"], id="mc-compare-t"),
+    pytest.param("sweep", {**MINIMAL, "truncation": 4,
+                           "flow": {"preset": "random"},
+                           "sweep": {"theta": [0.5, 1e308], "parameter": "seed",
+                                     "values": [1]}},
+                 [], id="sweep"),
+]
+
+
+@pytest.mark.parametrize("command,doc,flags", _OVERFLOWS)
+def test_cli_overflowing_model_exits_3(tmp_path, capsys, command, doc, flags):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    code = main([command, "--config", cfg, "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    if command == "sweep":
+        # an overflowed cell is indeterminate, and the sweep goes on
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[1:] == ["0.5,1,unbroken,0.0,0.0,true",
+                            "1e+308,1,indeterminate,,,false"]
+    else:
+        assert err.startswith("sts: numerical failure")
 
 
 def test_cli_overrides(tmp_path):

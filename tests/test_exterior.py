@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sts.exterior import (
     DegreeError,
@@ -48,7 +49,7 @@ def test_d_on_single_mode_1d():
     lay = BasisLayout(1, 2)
     psi = FormVector.zero(0, lay)
     psi.set_coefficient((), (1,), 1.0)
-    out = d_matrix(lay, 0).apply(psi)
+    out = FormVector(1, lay, d_matrix(lay, 0) @ psi.coeffs)
     assert out.coefficient((1,), (1,)) == 1j
 
 
@@ -57,31 +58,29 @@ def test_d_sign_2d():
     lay = BasisLayout(2, 2)
     psi = FormVector.zero(1, lay)
     psi.set_coefficient((1,), (0, 1), 1.0)
-    out = d_matrix(lay, 0 + 1).apply(psi)
+    out = FormVector(2, lay, d_matrix(lay, 0 + 1) @ psi.coeffs)
     assert out.coefficient((1, 2), (0, 1)) == -1j
 
 
 @pytest.mark.parametrize("lay", LAYOUTS)
 def test_d_squared_zero(lay):
     for k in range(lay.dimension - 1):
-        m = (d_matrix(lay, k + 1).matrix @ d_matrix(lay, k).matrix)
+        m = (d_matrix(lay, k + 1) @ d_matrix(lay, k))
         assert m.nnz == 0 or abs(m).max() < 1e-14
 
 
 @pytest.mark.parametrize("lay", LAYOUTS)
 def test_codifferential_squared_zero(lay):
     for k in range(2, lay.dimension + 1):
-        m = codifferential_matrix(lay, k - 1).matrix @ codifferential_matrix(
-            lay, k
-        ).matrix
+        m = codifferential_matrix(lay, k - 1) @ codifferential_matrix(lay, k)
         assert m.nnz == 0 or abs(m).max() < 1e-14
 
 
 @pytest.mark.parametrize("lay", LAYOUTS)
 def test_codifferential_is_adjoint_of_d(lay):
     for k in range(lay.dimension):
-        dm = d_matrix(lay, k).dense
-        cd = codifferential_matrix(lay, k + 1).dense
+        dm = d_matrix(lay, k).toarray()
+        cd = codifferential_matrix(lay, k + 1).toarray()
         assert np.abs(cd - dm.conj().T).max() < 1e-14
 
 
@@ -89,7 +88,7 @@ def test_codifferential_1d_mode():
     lay = BasisLayout(1, 2)
     psi = FormVector.zero(1, lay)
     psi.set_coefficient((1,), (1,), 1.0)
-    out = codifferential_matrix(lay, 1).apply(psi)
+    out = FormVector(0, lay, codifferential_matrix(lay, 1) @ psi.coeffs)
     assert out.coefficient((), (1,)) == -1j
 
 
@@ -97,7 +96,7 @@ def test_interior_constant_2d():
     lay = BasisLayout(2, 1)
     psi = FormVector.zero(2, lay)
     psi.set_coefficient((1, 2), (0, 0), 1.0)
-    out = interior_matrix(FlowField.unit(2, 0), lay, 2).apply(psi)
+    out = FormVector(1, lay, interior_matrix(FlowField.unit(2, 0), lay, 2) @ psi.coeffs)
     assert out.coefficient((2,), (0, 0)) == 1.0
     assert np.count_nonzero(out.coeffs) == 1
 
@@ -109,7 +108,7 @@ def test_interior_convolution_and_truncation():
         lay = BasisLayout(1, N)
         psi = FormVector.zero(1, lay)
         psi.set_coefficient((1,), (1,), 1.0)
-        out = interior_matrix(G, lay, 1).apply(psi)
+        out = FormVector(0, lay, interior_matrix(G, lay, 1) @ psi.coeffs)
         assert out.coefficient((), (0,)) == 0.5
         if keep2:
             assert out.coefficient((), (2,)) == 0.5
@@ -119,7 +118,7 @@ def test_interior_convolution_and_truncation():
 
 def test_multiply_identity_and_cos():
     lay = BasisLayout(1, 3)
-    one = multiply_matrix(TrigField.constant(1, 1.0), lay, 0).dense
+    one = multiply_matrix(TrigField.constant(1, 1.0), lay, 0).toarray()
     assert np.abs(one - np.eye(lay.n_modes)).max() == 0.0
     M = conv_matrix(TrigField.cos(1, 0), lay).toarray()
     col = M[:, lay.mode_index((0,))]
@@ -136,7 +135,7 @@ def test_multiply_matches_grid_product_oracle():
     # band-limited input so that the product is resolvable at N = 8
     for kappa in range(-6, 7):
         psi.set_coefficient((), (kappa,), rng.standard_normal())
-    out = multiply_matrix(f, lay, 0).apply(psi)
+    out = FormVector(0, lay, multiply_matrix(f, lay, 0) @ psi.coeffs)
     grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)[:, None]
     fx = f.evaluate(grid)
     px = np.array(
@@ -156,11 +155,11 @@ def test_hodge_star_2d_signs():
     lay = BasisLayout(2, 1)
     dx1 = FormVector.zero(1, lay)
     dx1.set_coefficient((1,), (0, 0), 1.0)
-    out = hodge_star_matrix(lay, 1).apply(dx1)
+    out = FormVector(1, lay, hodge_star_matrix(lay, 1) @ dx1.coeffs)
     assert out.coefficient((2,), (0, 0)) == 1.0
     dx2 = FormVector.zero(1, lay)
     dx2.set_coefficient((2,), (0, 0), 1.0)
-    out = hodge_star_matrix(lay, 1).apply(dx2)
+    out = FormVector(1, lay, hodge_star_matrix(lay, 1) @ dx2.coeffs)
     assert out.coefficient((1,), (0, 0)) == -1.0
 
 
@@ -168,7 +167,7 @@ def test_hodge_star_3d():
     lay = BasisLayout(3, 1)
     psi = FormVector.zero(2, lay)
     psi.set_coefficient((1, 2), (0, 0, 0), 1.0)
-    out = hodge_star_matrix(lay, 2).apply(psi)
+    out = FormVector(1, lay, hodge_star_matrix(lay, 2) @ psi.coeffs)
     assert out.coefficient((3,), (0, 0, 0)) == 1.0
 
 
@@ -176,15 +175,35 @@ def test_hodge_star_3d():
 def test_star_star_sign_law(lay):
     D = lay.dimension
     for k in range(D + 1):
-        twice = hodge_star_matrix(lay, D - k).matrix @ hodge_star_matrix(
-            lay, k
-        ).matrix
+        twice = hodge_star_matrix(lay, D - k) @ hodge_star_matrix(lay, k)
         sign = (-1) ** (k * (D - k))
         assert abs(twice - sign * np.eye(lay.size(k))).max() < 1e-14
-        inv = hodge_star_inverse_matrix(lay, D - k).matrix @ hodge_star_matrix(
-            lay, k
-        ).matrix
+        inv = hodge_star_inverse_matrix(lay, D - k) @ hodge_star_matrix(lay, k)
         assert abs(inv - np.eye(lay.size(k))).max() < 1e-14
+
+
+@pytest.mark.parametrize("lay", LAYOUTS)
+def test_constructors_return_csr_matrices_of_the_layout_sizes(lay):
+    D = lay.dimension
+    rng = np.random.default_rng(3)
+    G = FlowField([TrigField.random(D, 1, rng) for _ in range(D)])
+    f = TrigField.random(D, 1, rng)
+    # (constructor, its degrees k, the degree it maps k to)
+    cases = [
+        (lambda k: d_matrix(lay, k), range(D), lambda k: k + 1),
+        (lambda k: codifferential_matrix(lay, k), range(1, D + 1), lambda k: k - 1),
+        (lambda k: interior_matrix(G, lay, k), range(1, D + 1), lambda k: k - 1),
+        (lambda k: one_form_wedge_matrix(G.components, lay, k), range(D),
+         lambda k: k + 1),
+        (lambda k: multiply_matrix(f, lay, k), range(D + 1), lambda k: k),
+        (lambda k: hodge_star_matrix(lay, k), range(D + 1), lambda k: D - k),
+        (lambda k: hodge_star_inverse_matrix(lay, k), range(D + 1), lambda k: D - k),
+    ]
+    for build, degrees, k_out in cases:
+        for k in degrees:
+            m = build(k)
+            assert sp.issparse(m) and m.format == "csr"
+            assert m.shape == (lay.size(k_out(k)), lay.size(k))
 
 
 def test_integrate_top():
@@ -207,10 +226,10 @@ def test_one_form_wedge_is_leibniz_compatible():
     phi = FormVector.zero(0, lay)
     phi.set_coefficient((), (1, -1), 0.3 + 0.1j)
     phi.set_coefficient((), (-1, 1), 0.3 - 0.1j)
-    MU0 = multiply_matrix(U, lay, 0).matrix
-    MU1 = multiply_matrix(U, lay, 1).matrix
-    d0 = d_matrix(lay, 0).matrix
-    lhs = W.apply(phi).coeffs
+    MU0 = multiply_matrix(U, lay, 0)
+    MU1 = multiply_matrix(U, lay, 1)
+    d0 = d_matrix(lay, 0)
+    lhs = W @ phi.coeffs
     rhs = d0 @ (MU0 @ phi.coeffs) - MU1 @ (d0 @ phi.coeffs)
     assert np.abs(lhs - rhs).max() < 1e-12
 

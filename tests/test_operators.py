@@ -73,7 +73,7 @@ def test_lie_commutes_with_d_exactly():
         G = FlowField([TrigField.random(D, 1, rng, 0.7) for _ in range(D)])
         L = lie_matrices(G, lay)
         for k in range(D):
-            d = d_matrix(lay, k).matrix
+            d = d_matrix(lay, k)
             comm = d @ L[k] - L[k + 1] @ d
             assert comm.nnz == 0 or abs(comm).max() < 1e-13
 

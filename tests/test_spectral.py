@@ -434,7 +434,7 @@ def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
     # im d^1 is no longer invariant and there is no reduced operator
     def builder(lay):
         H = kd_operator(abc_field(1.0, 1.0, 1.0), 0.3, lay)
-        bump = multiply_matrix(TrigField.cos(3, 0), lay, 2).matrix
+        bump = multiply_matrix(TrigField.cos(3, 0), lay, 2)
         return SeoBlocks(
             tuple(OperatorBlock(k, k, lay, b.matrix + bump) if k == 2 else b
                   for k, b in enumerate(H)),
