@@ -24,17 +24,17 @@ class DegreeError(ValueError):
 
 @dataclass
 class OperatorBlock:
-    """The degree block of an evolution operator, from degree k_in to k_out.
+    """The degree-k_in block of an evolution operator, a sparse square
+    matrix on the k_in-forms of the layout.
 
     The elementary operators below return bare sparse matrices."""
 
     k_in: int
-    k_out: int
     layout: BasisLayout
     matrix: sp.spmatrix = field(repr=False)
 
     def __post_init__(self):
-        expected = (self.layout.size(self.k_out), self.layout.size(self.k_in))
+        expected = (self.layout.size(self.k_in),) * 2
         if self.matrix.shape != expected:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match layout "
@@ -43,7 +43,7 @@ class OperatorBlock:
 
     @property
     def dense(self):
-        return self.matrix.toarray() if sp.issparse(self.matrix) else self.matrix
+        return self.matrix.toarray()
 
 
 # -- the ghost sign rule ------------------------------------------------------
@@ -206,6 +206,8 @@ def codifferential_matrix(layout, k):
 
 def multiply_matrix(f, layout, k):
     """Pointwise multiplication by a TrigField, channel-wise convolution."""
+    if not 0 <= k <= layout.dimension:
+        raise DegreeError(f"degree {k} outside 0..{layout.dimension}")
     mi = layout.multi_indices(k)
     conv = conv_matrix(f, layout)
     entries = [(r, r, conv) for r in range(len(mi))]

@@ -81,8 +81,8 @@ class SeoBlocks:
         if len(self.blocks) != D + 1:
             raise ValueError(f"expected {D + 1} blocks, got {len(self.blocks)}")
         for k, b in enumerate(self.blocks):
-            if (b.k_in, b.k_out) != (k, k):
-                raise ValueError(f"block {k} is not degree-preserving")
+            if b.k_in != k:
+                raise ValueError(f"block {k} holds degree {b.k_in}")
 
     def __getitem__(self, k):
         return self.blocks[k]
@@ -110,7 +110,7 @@ class SeoBlocks:
 def _blocks(matrices, layout):
     """SeoBlocks holding one matrix per degree k = 0..D."""
     return SeoBlocks(
-        tuple(OperatorBlock(k, k, layout, m) for k, m in enumerate(matrices)),
+        tuple(OperatorBlock(k, layout, m) for k, m in enumerate(matrices)),
         layout,
     )
 
@@ -229,7 +229,7 @@ def fp_matrix_direct(F, noise, theta, alpha, layout):
             if e[i].coeffs:
                 div = div + diff_matrix(layout, i + 1) @ conv_matrix(e[i], layout)
         H = H - theta * (div @ div)
-    return OperatorBlock(D, D, layout, H)
+    return OperatorBlock(D, layout, H)
 
 
 def hodge_laplacian_blocks(layout):

@@ -228,59 +228,39 @@ def partition_slope(systems, ground_energy):
 
 
 def pairing_check(systems, tol, *, blocks):
-    """Verify the boson-fermion pairing of all certified nonzero eigenvalues.
+    """Count the boson-fermion pairs among the certified nonzero states.
 
-    For each state with dpsi appreciably nonzero, dpsi must be an
-    eigenvector of the next block of ``blocks`` (the operator the
-    ``systems`` were solved from) with the same eigenvalue; otherwise a
-    matching eigenvalue must exist one degree down.  Also compares the
-    nonzero even- and odd-degree spectra as multisets.  Returns a dict
-    with per-state partner records and a list of violations; both are
-    None when some system has no usable vectors, and then only the
-    multiset comparison is made.
+    A state psi of degree k with ||d psi|| > ``tol_pair`` is paired up
+    when d psi is an eigenvector of the next block of ``blocks`` (the
+    operator the ``systems`` were solved from) with its eigenvalue, to a
+    relative residual of ``tol_pair``; any other state is paired down
+    when degree k - 1 has its eigenvalue (:func:`_drift_mask`).  Returns
+    ``pairs``, ``violations`` (the unpaired states) and the
+    :func:`even_odd_distance`; both counts are None when some system has
+    no usable vectors.
     """
     thr = zero_threshold(systems, tol)
-    out = {
-        "partners": None,
-        "violations": None,
-        "even_odd_distance": even_odd_distance(systems, thr),
-        "threshold": thr,
-    }
+    out = {"pairs": None, "violations": None,
+           "even_odd_distance": even_odd_distance(systems, thr)}
     if not all(s.has_vectors for s in systems):
         return out
     layout = systems[0].layout
-    D = layout.dimension
-    d_mats = [d_matrix(layout, k) for k in range(D)]
-    partners = []
-    violations = []
+    pairs = states = 0
     for k, s in enumerate(systems):
-        for n in range(s.size):
-            lam = s.eigenvalues[n]
-            if abs(lam) <= thr or not s.converged[n]:
-                continue
-            psi = s.right[:, n]
-            if k < D:
-                dpsi = d_mats[k] @ psi
-                nd = np.linalg.norm(dpsi)
-            else:
-                nd = 0.0
-            if nd > tol.tol_pair:
-                h_dpsi = blocks[k + 1].matrix @ dpsi
-                resid = np.linalg.norm(h_dpsi - lam * dpsi) / nd
-                if resid <= tol.tol_pair:
-                    partners.append((k, n, k + 1, resid))
-                else:
-                    violations.append((k, n, "d-image not an eigenvector", resid))
-            else:
-                if k == 0:
-                    violations.append((k, n, "d-closed nonzero state in degree 0", nd))
-                    continue
-                gap = float(np.min(np.abs(systems[k - 1].eigenvalues - lam)))
-                if gap <= tol.tol_pair * max(1.0, abs(lam)):
-                    partners.append((k, n, k - 1, gap))
-                else:
-                    violations.append((k, n, "no partner one degree down", gap))
-    return {**out, "partners": partners, "violations": violations}
+        keep = s.converged & (np.abs(s.eigenvalues) > thr)
+        lam, V = s.eigenvalues[keep], s.right[:, keep]
+        up = np.zeros(len(lam), bool)
+        if k < layout.dimension:
+            dV = d_matrix(layout, k) @ V
+            norms = np.linalg.norm(dV, axis=0)
+            up = norms > tol.tol_pair
+            dV = dV[:, up]
+            resid = np.linalg.norm(blocks[k + 1].matrix @ dV - dV * lam[up], axis=0)
+            pairs += int(np.sum(resid / norms[up] <= tol.tol_pair))
+        below = systems[k - 1].eigenvalues if k else np.zeros(0)
+        pairs += int(np.sum(_drift_mask(lam[~up], below, tol.tol_pair)))
+        states += len(lam)
+    return {**out, "pairs": pairs, "violations": states - pairs}
 
 
 def even_odd_distance(systems, thr):
@@ -393,7 +373,7 @@ def targeted_eigenpair(block, sigma):
     w, V = spla.eigs(A, k=4, sigma=shift, which="LM")
     j = int(np.argmin(np.abs(w - sigma)))
     lam, right = w[j], V[:, j]
-    if np.any(np.abs(np.delete(w, j) - lam) <= 1e-8 * max(1.0, abs(lam))):
+    if _drift_mask(w[j:j + 1], np.delete(w, j), 1e-8)[0]:
         raise ValueError(f"eigenvalue {complex(lam)} is degenerate")
     wl, Vl = spla.eigs(A.conj().T.tocsc(), k=4,
                        sigma=np.conj(shift), which="LM")
@@ -490,7 +470,8 @@ def convergence_masks(systems, builder, tol, blocks):
     fine = builder(layout.refined())
     if layout.dimension <= _MAX_VECTOR_DIMENSION:
         return [
-            _drift_mask(s.eigenvalues, _real_eig(fine[k], vectors=False)[0], tol)
+            _drift_mask(s.eigenvalues, _real_eig(fine[k], vectors=False)[0],
+                        tol.tol_converge)
             for k, s in enumerate(systems)
         ]
     m = 12
@@ -521,10 +502,8 @@ def convergence_masks(systems, builder, tol, blocks):
                             <= 1e-10))
         mask = np.zeros(s.size, bool)
         for i, (_, ref) in enumerate(parts):
-            ref = np.concatenate([ref, zero])
-            if len(ref):
-                mask[: 4 * m][owner == i] = _drift_mask(
-                    head[owner == i], ref, tol)
+            mask[: 4 * m][owner == i] = _drift_mask(
+                head[owner == i], np.concatenate([ref, zero]), tol.tol_converge)
         masks.append(mask)
     return masks
 
@@ -576,9 +555,18 @@ def _shift_targets(eigenvalues, m):
     return targets
 
 
-def _drift_mask(base, refined, tol):
-    drift = np.min(np.abs(refined[None, :] - base[:, None]), axis=1)
-    return drift <= tol.tol_converge * np.maximum(1.0, np.abs(base))
+def _drift(base, refined):
+    """Distance from each base eigenvalue to the nearest refined one (inf
+    when there is none)."""
+    return np.abs(refined[None, :] - base[:, None]).min(axis=1, initial=np.inf)
+
+
+def _drift_mask(base, refined, bound):
+    """Whether each base eigenvalue has a refined one within ``bound``
+    relative to max(1, |base|): the one rule by which the refinement
+    guard, the pairing check and the degeneracy refusal of
+    :func:`targeted_eigenpair` compare spectra."""
+    return _drift(base, refined) <= bound * np.maximum(1.0, np.abs(base))
 
 
 def _refined_near(A, targets):
@@ -617,25 +605,21 @@ def _refined_near(A, targets):
 # -- the full pipeline ---------------------------------------------------------
 
 
-def analyze(blocks, builder=None, tol=None, vectors=True):
+def analyze(blocks, builder, tol, vectors=True):
     """Eigensolve a family of degree blocks under the refinement guard.
 
     ``builder(layout) -> SeoBlocks`` re-assembles the same operator on a
     refined layout for the spectral-pollution guard, which stores its
-    certifications on each system's ``converged``; when omitted every
-    eigenvalue is trusted.  Right vectors are computed when ``vectors``
-    is true and the dimension is at most ``_MAX_VECTOR_DIMENSION``; a
-    caller that needs only eigenvalues (a verdict, an oracle spectrum)
-    passes False.  Returns the list of :class:`EigenSystem`, one per
-    degree.
+    certifications on each system's ``converged``.  Right vectors are
+    computed when ``vectors`` is true and the dimension is at most
+    ``_MAX_VECTOR_DIMENSION``; a caller that needs only eigenvalues (a
+    verdict, an oracle spectrum) passes False.  Returns the list of
+    :class:`EigenSystem`, one per degree.
     """
-    tol = tol or Tolerances()
     vectors = vectors and blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
     systems = [eigensolve(b, vectors=vectors) for b in blocks]
-    if builder is not None:
-        masks = convergence_masks(systems, builder, tol, blocks)
-        for s, mask in zip(systems, masks):
-            s.converged = mask
+    for s, mask in zip(systems, convergence_masks(systems, builder, tol, blocks)):
+        s.converged = mask
     return systems
 
 
@@ -665,12 +649,11 @@ def report(systems, pairing, tol, t_grid):
          for n, (lam, ok) in enumerate(zip(s.eigenvalues, s.converged))]
         for k, s in enumerate(systems)
     ]
-    violations = pairing["violations"]
     t_grid = list(t_grid)
     return {
         "spectra": spectra,
         "zero_modes": zero_modes(systems, tol),
-        "pairing_violations": None if violations is None else len(violations),
+        "pairing_violations": pairing["violations"],
         "even_odd_distance": pairing["even_odd_distance"],
         "witten": {
             "t": t_grid,

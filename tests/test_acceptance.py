@@ -180,17 +180,17 @@ def test_criterion_03_witten_index(abc_report, roberts_report):
 def test_criterion_04_pairing_suite():
     total_pairs = 0
     worst_dist = 0.0
-    violations = []
+    violations = 0
     for m in pairing_suite():
         blocks = seo_alpha(m)
         systems = [eigensolve(b) for b in blocks]
         res = pairing_check(systems, TOL, blocks=blocks)
-        total_pairs += len(res["partners"])
+        total_pairs += res["pairs"]
         violations += res["violations"]
         worst_dist = max(worst_dist, res["even_odd_distance"])
     ok = not violations and worst_dist <= 1e-6 and total_pairs > 0
     verdict(4, "boson-fermion pairing on the five-model suite", ok,
-            f"({total_pairs} pairs, {len(violations)} violations, "
+            f"({total_pairs} pairs, {violations} violations, "
             f"even/odd {worst_dist:.2e})")
 
 

@@ -248,7 +248,7 @@ def test_cli_indeterminate_exit_code(tmp_path, monkeypatch, command):
         assert report["payload"]["ground"] is None
 
 
-def test_cli_nonfinite_trace_exits_3(tmp_path):
+def test_cli_nonfinite_trace_exits_3(tmp_path, recwarn):
     # at t = 20000 an uncertified eigenvalue with Re E < 0 overflows the
     # traces of an unbroken ABC verdict: W(t) is nan and Z(t) is -inf
     doc = {"dimension": 3, "truncation": 2, "theta": 0.08,
@@ -264,6 +264,8 @@ def test_cli_nonfinite_trace_exits_3(tmp_path):
     assert report["checks"]["converged"] is False
     assert report["checks"]["witten_zero"] is False
     assert report["payload"]["witten_max_abs"] is None
+    # the exit code says it; numpy's overflow warnings would only precede it
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_deterministic_limit_is_classified(tmp_path):
@@ -571,13 +573,15 @@ _OVERFLOWS = [
 
 
 @pytest.mark.parametrize("command,doc,flags", _OVERFLOWS)
-def test_cli_overflowing_model_exits_3(tmp_path, capsys, command, doc, flags):
+def test_cli_overflowing_model_exits_3(tmp_path, capsys, recwarn, command, doc,
+                                      flags):
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     code = main([command, "--config", cfg, "--out", str(out), *flags])
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     if command == "sweep":
         # an overflowed cell is indeterminate, and the sweep goes on
         rows = (out / "sweep.csv").read_text().splitlines()

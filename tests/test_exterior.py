@@ -249,3 +249,7 @@ def test_degree_errors():
             codifferential_matrix(lay, k)
         with pytest.raises(DegreeError):
             interior_matrix(G, lay, k)
+    # multiplication keeps the degree: 0..D
+    for k in (-1, 3):
+        with pytest.raises(DegreeError):
+            multiply_matrix(one_form[0], lay, k)

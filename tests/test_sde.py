@@ -179,7 +179,7 @@ def test_operator_evolution_of_a_jordan_pair_conserves_mass():
     A = np.zeros((3, 3))
     A[0, 0] = A[2, 2] = 0.5
     A[0, 2] = 1.0
-    block = OperatorBlock(1, 1, lay, sp.csr_matrix(A))
+    block = OperatorBlock(1, lay, sp.csr_matrix(A))
     psi0 = FormVector(1, lay, [0.1, 1.0 / TWO_PI, 0.1])
     t = 2.0
     out = operator_evolve_density(block, psi0, t)

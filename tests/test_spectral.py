@@ -55,7 +55,7 @@ def real_block(R, layout=None):
     """Degree-0 block U R U^H of a real matrix R in the cos/sin basis U."""
     layout = layout or BasisLayout(1, (len(R) - 1) // 2)
     U = layout.real_basis(0)
-    return OperatorBlock(0, 0, layout, U @ sp.csr_matrix(R) @ U.conj().T)
+    return OperatorBlock(0, layout, U @ sp.csr_matrix(R) @ U.conj().T)
 
 
 def fake_system(values, degree=0, dimension=1):
@@ -79,11 +79,11 @@ def test_eigensolve_falls_back_to_schur_on_a_jordan_block():
     layout = BasisLayout(1, 1)
     jordan = np.array([[1, 1, 0], [0, 1, 0], [0, 0, -1]], float)
     blocks = [real_block(jordan, layout),
-              OperatorBlock(1, 1, layout, sp.diags([2.0 + 0j, -1.0, 2.0]).tocsr())]
+              OperatorBlock(1, layout, sp.diags([2.0 + 0j, -1.0, 2.0]).tocsr())]
     sys = eigensolve(blocks[0])
     assert sys.near_defective and not sys.has_vectors
     assert np.allclose(sys.eigenvalues, [-1, 1, 1])  # sorted by (Re, Im)
-    systems = analyze(blocks)
+    systems = [eigensolve(b) for b in blocks]
     payload = report(systems, pairing_check(systems, TOL, blocks=blocks),
                      TOL, [1.0])
     assert payload["near_defective"]
@@ -103,7 +103,7 @@ def test_eigensolve_refuses_a_block_that_is_not_real():
     # a block of a complex field: no cos/sin basis makes it real
     rng = np.random.default_rng(7)
     A = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    block = OperatorBlock(0, 0, BasisLayout(1, 3), sp.csr_matrix(A))
+    block = OperatorBlock(0, BasisLayout(1, 3), sp.csr_matrix(A))
     for vectors in (True, False):
         with pytest.raises(ValueError, match="not real"):
             eigensolve(block, vectors=vectors)
@@ -180,9 +180,33 @@ def test_pairing_check_langevin():
     blocks = seo_alpha(langevin_cos_model())
     systems = [eigensolve(b) for b in blocks]
     res = pairing_check(systems, TOL, blocks=blocks)
-    assert res["violations"] == []
-    assert len(res["partners"]) > 0
+    assert res["violations"] == 0
+    assert res["pairs"] > 0
     assert res["even_odd_distance"] < 1e-8
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.3])
+def test_pairing_check_counts_violations(amplitude):
+    # a multiplication added to the degree-1 block breaks [d, H] = 0, so
+    # states lose their partners; every certified nonzero state is counted
+    def builder(lay):
+        H = seo_alpha(shear_model(lay))
+        bump = multiply_matrix(TrigField.cos(2, 0, amplitude), lay, 1)
+        return SeoBlocks(
+            tuple(OperatorBlock(k, lay, b.matrix + bump) if k == 1 else b
+                  for k, b in enumerate(H)),
+            lay,
+        )
+
+    blocks = builder(BasisLayout(2, 3))
+    systems = analyze(blocks, builder, TOL)
+    res = pairing_check(systems, TOL, blocks=blocks)
+    thr = spectral.zero_threshold(systems, TOL)
+    states = sum(int(np.sum(s.converged & (np.abs(s.eigenvalues) > thr)))
+                 for s in systems)
+    assert states > 0
+    assert res["pairs"] + res["violations"] == states
+    assert (res["violations"] > 0) == bool(amplitude)
 
 
 def test_hausdorff_distance():
@@ -355,7 +379,8 @@ def full_block_guard(systems, fine, tol):
                 continue
         mask = np.zeros(s.size, bool)
         if ref:
-            mask[:48] = _drift_mask(s.eigenvalues[:48], np.asarray(ref), tol)
+            mask[:48] = _drift_mask(s.eigenvalues[:48], np.asarray(ref),
+                                    tol.tol_converge)
         masks.append(mask)
     return masks
 
@@ -436,7 +461,7 @@ def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
         H = kd_operator(abc_field(1.0, 1.0, 1.0), 0.3, lay)
         bump = multiply_matrix(TrigField.cos(3, 0), lay, 2)
         return SeoBlocks(
-            tuple(OperatorBlock(k, k, lay, b.matrix + bump) if k == 2 else b
+            tuple(OperatorBlock(k, lay, b.matrix + bump) if k == 2 else b
                   for k, b in enumerate(H)),
             lay,
         )
@@ -451,7 +476,7 @@ def test_analyze_langevin_report():
         return seo_alpha(langevin_cos_model(lay))
 
     blocks = builder(BasisLayout(1, 12))
-    systems = analyze(blocks, builder=builder)
+    systems = analyze(blocks, builder, TOL)
     assert all(s.has_vectors for s in systems)
     pairing = pairing_check(systems, TOL, blocks=blocks)
     payload = report(systems, pairing, TOL, [0.1, 1.0, 10.0])
@@ -465,7 +490,7 @@ def test_analyze_langevin_report():
     assert converged == [bool(c) for s in systems for c in s.converged]
     assert not all(converged)
     # the verdict alone needs no vectors and reads the same eigenvalues
-    bare = analyze(blocks, builder=builder, vectors=False)
+    bare = analyze(blocks, builder, TOL, vectors=False)
     assert not any(s.has_vectors for s in bare)
     assert classify(bare, TOL) == UNBROKEN
     assert ground_state(bare, TOL)["degree"] == 1
@@ -473,11 +498,14 @@ def test_analyze_langevin_report():
 
 def test_analyze_without_vectors_skips_pairing():
     # 3-D blocks are solved for eigenvalues only
-    blocks = kd_operator(FlowField.zero(3), 0.5, BasisLayout(3, 1))
-    systems = analyze(blocks)
+    def builder(lay):
+        return kd_operator(FlowField.zero(3), 0.5, lay)
+
+    blocks = builder(BasisLayout(3, 1))
+    systems = analyze(blocks, builder, TOL)
     assert not any(s.has_vectors for s in systems)
     pairing = pairing_check(systems, TOL, blocks=blocks)
-    assert pairing["partners"] is None
+    assert pairing["pairs"] is None
     assert pairing["violations"] is None
     # pure diffusion pairs exactly: only the multiset comparison is left
     assert pairing["even_odd_distance"] < 1e-12
