@@ -300,17 +300,19 @@ def _sweep_cell(config, theta, value):
     flow["params"] = params
     build = _seo_builder(replace(config, theta=theta, flow=flow, sweep=None))
     tol = config.tolerances
-    # a cell prints only its verdict, which needs no eigenvectors
+    # a cell prints only its verdict, which needs no eigenvectors; an
+    # indeterminate cell says why in its last column
     try:
         blocks = build(BasisLayout(config.dimension, config.truncation))
         systems = spectral.analyze(blocks, build, tol, vectors=False)
-    except _NUMERICAL_FAILURES:
-        return (theta, value, spectral.INDETERMINATE, None, None, False)
+    except _NUMERICAL_FAILURES as exc:
+        return (theta, value, spectral.INDETERMINATE, None, None, False,
+                f"{type(exc).__name__}: {exc}")
     label = spectral.classify(systems, tol)
     if label == spectral.INDETERMINATE:
-        return (theta, value, label, None, None, False)
+        return (theta, value, label, None, None, False, "nothing certified")
     e = spectral.ground_state(systems, tol)["energy"]
-    return (theta, value, label, e.real, e.imag, True)
+    return (theta, value, label, e.real, e.imag, True, None)
 
 
 def cmd_sweep(config, args, out_dir):
@@ -324,7 +326,7 @@ def cmd_sweep(config, args, out_dir):
     write_table_csv(
         Path(out_dir) / "sweep.csv",
         ["theta", config.sweep["parameter"], "classification",
-         "re_eg", "im_eg", "converged"],
+         "re_eg", "im_eg", "converged", "reason"],
         rows,
     )
     counts = {}

@@ -34,11 +34,13 @@ _DEFECTIVE_COND = 1e10
 # largest imaginary part a block may keep in its cos/sin basis, relative
 # to its largest real entry: roundoff of real fields' products
 _REAL_TOL = 1e-12
-# largest relative residual ||A P - P R|| / ||A|| of a block on im d: the
-# blocks commute with d exactly, so anything above roundoff is a defect
+# largest relative residual ||A P - P R|| / ||A|| of a block on im d, and
+# largest relative commutator ||d H^(k) - H^(k+1) d|| / (||d|| ||H^(k)||):
+# the blocks commute with d exactly, so anything above roundoff is a defect
 _INVARIANCE_TOL = 1e-12
 # up to this dimension blocks are solved with eigenvectors and guarded by a
-# dense refined solve; 3-D advection-dominated blocks have unusable global
+# dense refined solve (in 2-D of degrees 0 and 2 only, whose union is the
+# degree-1 spectrum); 3-D advection-dominated blocks have unusable global
 # eigenbases and are too large to re-solve, so they get eigenvalues only
 # and a shift-invert guard on the d-exact subspaces of the refined operator
 _MAX_VECTOR_DIMENSION = 2
@@ -446,9 +448,16 @@ def convergence_masks(systems, builder, tol, blocks):
     ``builder(layout)`` must return SeoBlocks on any layout, and
     ``blocks`` are the blocks ``systems`` were solved from.  Layouts
     solved with eigenvectors are re-solved densely on the refined layout
-    and every eigenvalue is checked.  A 3-D dense refined solve is too
-    costly, so there the guard uses that d commutes with H: im d^j is
-    invariant under H^(j+1), and spec H^(k) is the union of spec R_(k-1),
+    and every eigenvalue is checked against the refined spectrum of its
+    degree.  1-D solves every refined block, since an operator such as
+    the Hermitian Langevin oracle need not commute with d.  2-D solves
+    degrees 0 and 2 only, and takes their multiset union as the refined
+    degree-1 spectrum (by the splitting below, with b = (1, 2, 1)); it
+    raises ValueError when the refined operator does not commute with d
+    to 1e-12 relative (:meth:`SeoBlocks.d_commutator_residuals`).  A 3-D
+    dense refined solve is too costly, so there the guard uses that d
+    commutes with H: im d^j is invariant under H^(j+1), and spec H^(k)
+    is the union of spec R_(k-1),
     b_k = C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j
     the operator on im d^j (see :func:`exact_basis`).  The 12 lowest
     distinct eigenvalues, in (Re, Im) order, of each base R_j are the
@@ -469,11 +478,20 @@ def convergence_masks(systems, builder, tol, blocks):
     layout = systems[0].layout
     fine = builder(layout.refined())
     if layout.dimension <= _MAX_VECTOR_DIMENSION:
-        return [
-            _drift_mask(s.eigenvalues, _real_eig(fine[k], vectors=False)[0],
-                        tol.tol_converge)
-            for k, s in enumerate(systems)
-        ]
+        if layout.dimension == 2:
+            for k, resid in enumerate(fine.d_commutator_residuals()):
+                if resid > _INVARIANCE_TOL:
+                    raise ValueError(
+                        f"the degree-{k} and degree-{k + 1} blocks do not "
+                        f"commute with d (residual {resid:.3g})")
+            # with b = (1, 2, 1), spec H^(1) = spec R_0, 2 zeros and
+            # spec R_1 is the union of spec H^(0) and spec H^(2)
+            w0, w2 = (_real_eig(fine[k], vectors=False)[0] for k in (0, 2))
+            refined = [w0, np.concatenate([w0, w2]), w2]
+        else:
+            refined = [_real_eig(b, vectors=False)[0] for b in fine]
+        return [_drift_mask(s.eigenvalues, w, tol.tol_converge)
+                for s, w in zip(systems, refined)]
     m = 12
     D = layout.dimension
     base, found = [], []

@@ -243,6 +243,9 @@ def test_cli_indeterminate_exit_code(tmp_path, monkeypatch, command):
     assert report["checks"]["converged"] is False
     if command == "sweep":
         assert report["payload"]["classifications"] == {"indeterminate": 4}
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.rsplit(",", 2)[1:] for r in rows] == [
+            ["false", "nothing certified"]] * 4
     else:
         assert report["payload"]["classification"] == "indeterminate"
         assert report["payload"]["ground"] is None
@@ -496,7 +499,7 @@ def test_cli_sweep(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     raw = (out / "sweep.csv").read_bytes()
     lines = raw.decode().strip().split("\r\n")
-    assert lines[0] == "theta,seed,classification,re_eg,im_eg,converged"
+    assert lines[0] == "theta,seed,classification,re_eg,im_eg,converged,reason"
     assert len(lines) == 5
     report = json.loads((out / "report.json").read_text())
     assert report["payload"]["cells"] == 4
@@ -519,13 +522,15 @@ def test_cli_sweep_cells_agree_with_spectrum(tmp_path, dimension, truncation):
     assert len(lines) == 4
     single = write_config(tmp_path, doc, "single.json")
     for line in lines:
-        theta, seed, label, re_eg, im_eg, converged = line.strip().split(",")
+        theta, seed, label, re_eg, im_eg, converged, reason = (
+            line.strip().split(","))
         cell = tmp_path / f"cell-{theta}-{seed}"
         main(["spectrum", "--config", single, "--theta", theta, "--seed", seed,
               "--out", str(cell)])
         payload = json.loads((cell / "report.json").read_text())["payload"]
         assert label == payload["classification"], (theta, seed)
         assert converged == "true"
+        assert reason == ""
         ground = complex(payload["ground"]["re"], payload["ground"]["im"])
         energy = complex(float(re_eg), float(im_eg))
         assert abs(energy - ground) <= 1e-12 * max(1.0, abs(ground)), (theta, seed)
@@ -543,7 +548,8 @@ def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
     rows = (out / "sweep.csv").read_text().strip().split("\n")
-    assert rows[1].strip() == "0.5,1,indeterminate,,,false"
+    assert rows[1].strip() == (
+        "0.5,1,indeterminate,,,false,LinAlgError: eigenvalues did not converge")
     capsys.readouterr()
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -585,8 +591,9 @@ def test_cli_overflowing_model_exits_3(tmp_path, capsys, recwarn, command, doc,
     if command == "sweep":
         # an overflowed cell is indeterminate, and the sweep goes on
         rows = (out / "sweep.csv").read_text().splitlines()
-        assert rows[1:] == ["0.5,1,unbroken,0.0,0.0,true",
-                            "1e+308,1,indeterminate,,,false"]
+        assert rows[1:] == ["0.5,1,unbroken,0.0,0.0,true,",
+                            "1e+308,1,indeterminate,,,false,FloatingPointError: "
+                            "operator block contains non-finite entries"]
     else:
         assert err.startswith("sts: numerical failure")
 

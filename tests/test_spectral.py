@@ -185,10 +185,10 @@ def test_pairing_check_langevin():
     assert res["even_odd_distance"] < 1e-8
 
 
-@pytest.mark.parametrize("amplitude", [0.0, 0.3])
-def test_pairing_check_counts_violations(amplitude):
-    # a multiplication added to the degree-1 block breaks [d, H] = 0, so
-    # states lose their partners; every certified nonzero state is counted
+def bumped_shear(amplitude):
+    """Builder of the guarded shear model with a cos x multiplication of
+    ``amplitude`` added to its degree-1 block: any nonzero amplitude
+    breaks [d, H] = 0."""
     def builder(lay):
         H = seo_alpha(shear_model(lay))
         bump = multiply_matrix(TrigField.cos(2, 0, amplitude), lay, 1)
@@ -197,9 +197,31 @@ def test_pairing_check_counts_violations(amplitude):
                   for k, b in enumerate(H)),
             lay,
         )
+    return builder
 
+
+def full_dense_guard(systems, fine, tol):
+    """The D <= 2 guard as a dense solve of every refined block of
+    ``fine``, which need not commute with d."""
+    return [
+        _drift_mask(s.eigenvalues, spectral._real_eig(fine[k], vectors=False)[0],
+                    tol.tol_converge)
+        for k, s in enumerate(systems)
+    ]
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.3])
+def test_pairing_check_counts_violations(amplitude):
+    # the bump breaks [d, H] = 0, so states lose their partners; every
+    # certified nonzero state is counted.  The 2-D guard refuses such an
+    # operator, so the systems are certified by a dense solve of each
+    # refined block
+    builder = bumped_shear(amplitude)
     blocks = builder(BasisLayout(2, 3))
-    systems = analyze(blocks, builder, TOL)
+    systems = [eigensolve(b) for b in blocks]
+    fine = builder(blocks.layout.refined())
+    for s, mask in zip(systems, full_dense_guard(systems, fine, TOL)):
+        s.converged = mask
     res = pairing_check(systems, TOL, blocks=blocks)
     thr = spectral.zero_threshold(systems, TOL)
     states = sum(int(np.sum(s.converged & (np.abs(s.eigenvalues) > thr)))
@@ -207,6 +229,7 @@ def test_pairing_check_counts_violations(amplitude):
     assert states > 0
     assert res["pairs"] + res["violations"] == states
     assert (res["violations"] > 0) == bool(amplitude)
+    assert (res["pairs"], res["violations"]) == ((0, 34) if amplitude else (40, 0))
 
 
 def test_hausdorff_distance():
@@ -469,6 +492,57 @@ def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
     blocks = builder(BasisLayout(3, 1))
     with pytest.raises(ValueError, match="degree-2"):
         analyze(blocks, builder, Tolerances(tol_converge=1e-2))
+
+
+def test_2d_guard_refuses_an_operator_that_does_not_commute_with_d():
+    # the refined degree-1 spectrum is the union of degrees 0 and 2 only
+    # for an operator that commutes with d
+    builder = bumped_shear(0.3)
+    with pytest.raises(ValueError, match="commute with d"):
+        analyze(builder(BasisLayout(2, 3)), builder, TOL)
+
+
+@pytest.fixture
+def real_eig_degrees(monkeypatch):
+    """The degree of every block the test solves densely from here on."""
+    degrees = []
+    real_eig = spectral._real_eig
+
+    def counted(block, vectors):
+        degrees.append(block.k_in)
+        return real_eig(block, vectors)
+
+    monkeypatch.setattr(spectral, "_real_eig", counted)
+    return degrees
+
+
+def random2d_builder(seed, theta):
+    """Builder of the 2-D `random` preset at its defaults: bandwidth 1,
+    amplitude 0.5."""
+    rng = np.random.default_rng(seed)
+    flow = FlowField([TrigField.random(2, 1, rng, 0.5) for _ in range(2)])
+    return lambda lay: seo_alpha(SdeModel(lay, flow, identity_frame(2), theta))
+
+
+def test_2d_guard_matches_the_full_dense_guard(real_eig_degrees):
+    # the union of the refined degree-0 and degree-2 spectra certifies
+    # exactly what a dense solve of the refined degree-1 block does; at
+    # the default tolerance the random flows certify only their zero
+    # modes, at 1e-2 also nonzero eigenvalues of every degree
+    cases = [(random2d_builder(seed, theta), 4)
+             for seed in (7, 4) for theta in (0.05, 0.5, 1.0)]
+    cases.append((lambda lay: seo_alpha(shear_model(lay)), 3))
+    for tol in (TOL, Tolerances(tol_converge=1e-2)):
+        for i, (builder, n) in enumerate(cases):
+            blocks = builder(BasisLayout(2, n))
+            systems = [eigensolve(b, vectors=False) for b in blocks]
+            real_eig_degrees.clear()
+            masks = convergence_masks(systems, builder, tol, blocks)
+            assert real_eig_degrees == [0, 2]
+            fine = builder(blocks.layout.refined())
+            reference = full_dense_guard(systems, fine, tol)
+            for k in range(3):
+                assert np.array_equal(masks[k], reference[k]), (tol, i, k)
 
 
 def test_analyze_langevin_report():
