@@ -361,24 +361,27 @@ def targeted_eigenpair(block, sigma):
     """Right and left eigenvectors of the eigenvalue nearest ``sigma``.
 
     Uses sparse shift-inverted Arnoldi on the block and its conjugate
-    transpose, so it works on blocks whose global eigenbasis is too
-    ill-conditioned to invert.  The left row is normalized so that
-    left @ right = 1 (bi-orthogonal convention).  A target eigenvalue
-    with another Ritz value within 1e-8 relative is refused: its right
-    and left vectors are then arbitrary members of a shared eigenspace.
+    transpose, each shift factored by :func:`_shift_inverse`, so it works
+    on blocks whose global eigenbasis is too ill-conditioned to invert.
+    The left row is normalized so that left @ right = 1 (bi-orthogonal
+    convention).  A target eigenvalue with another Ritz value within 1e-8
+    relative is refused: its right and left vectors are then arbitrary
+    members of a shared eigenspace.
 
     Returns a dict with keys degree, index (-1: not tied to a dense
     solve), energy, right, left, layout.
     """
     A = block.matrix.tocsc()
     shift = complex(sigma) + 1e-7j
-    w, V = spla.eigs(A, k=4, sigma=shift, which="LM")
+    w, V = spla.eigs(A, k=4, sigma=shift, OPinv=_shift_inverse(A, shift),
+                     which="LM")
     j = int(np.argmin(np.abs(w - sigma)))
     lam, right = w[j], V[:, j]
     if _drift_mask(w[j:j + 1], np.delete(w, j), 1e-8)[0]:
         raise ValueError(f"eigenvalue {complex(lam)} is degenerate")
-    wl, Vl = spla.eigs(A.conj().T.tocsc(), k=4,
-                       sigma=np.conj(shift), which="LM")
+    AH = A.conj().T.tocsc()
+    wl, Vl = spla.eigs(AH, k=4, sigma=np.conj(shift),
+                       OPinv=_shift_inverse(AH, np.conj(shift)), which="LM")
     jl = int(np.argmin(np.abs(np.conj(wl) - lam)))
     left = Vl[:, jl].conj()
     overlap = left @ right
@@ -596,7 +599,8 @@ def _refined_near(A, targets):
     already tried is not solved, and the conjugates of that solve's
     eigenvalues stand for it (none when that solve failed).  A is solved
     as a complex matrix: for a real matrix and a complex shift, ``eigs``
-    would switch to its real-part mode, a different algorithm.
+    would switch to its real-part mode, a different algorithm.  Each
+    shift is factored by :func:`_shift_inverse`.
     """
     A = sp.csc_matrix(A, dtype=complex)
     solved = {}
@@ -607,10 +611,12 @@ def _refined_near(A, targets):
         if mirror is not None:
             found.extend(np.conj(solved[mirror]).tolist())
             continue
-        # small imaginary offset keeps the shifted matrix nonsingular
+        # small imaginary offset keeps the shifted matrix nonsingular; an
+        # exactly singular one fails to factor and finds nothing
         try:
+            shift = sigma + 1e-7j
             w = spla.eigs(
-                A, k=6, sigma=sigma + 1e-7j,
+                A, k=6, sigma=shift, OPinv=_shift_inverse(A, shift),
                 which="LM", return_eigenvectors=False,
             )
         except (spla.ArpackNoConvergence, RuntimeError):
@@ -618,6 +624,19 @@ def _refined_near(A, targets):
         solved[sigma] = w
         found.extend(w.tolist())
     return np.asarray(found)
+
+
+def _shift_inverse(A, sigma):
+    """(A - sigma I)^-1 as a LinearOperator, for ``eigs(..., OPinv=)``: a
+    sparse LU in SuperLU's symmetric mode (minimum-degree ordering of
+    A^T + A, a diagonal pivot kept unless below 0.1 of its column's
+    largest), half the fill of the default COLAMD ordering on the nearly
+    structurally symmetric operators.  RuntimeError when exactly singular.
+    """
+    M = sp.csc_matrix(A - sigma * sp.eye(A.shape[0], format="csc"))
+    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                   options={"SymmetricMode": True})
+    return spla.LinearOperator(A.shape, matvec=lu.solve, dtype=M.dtype)
 
 
 # -- the full pipeline ---------------------------------------------------------

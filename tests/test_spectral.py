@@ -477,6 +477,50 @@ def test_refined_near_mirrors_the_conjugate_target(eigs_shifts):
     assert hausdorff_distance(found, reference) <= 1e-12
 
 
+def test_guard_factors_each_shift_with_half_the_default_fill(monkeypatch):
+    # the dynamo benchmark config: every guard shift of each refined R_j is
+    # factored with at most 0.6 of the L + U nonzeros of splu's default
+    # COLAMD ordering, and solves to a backward error of roundoff
+    factored = []
+    splu = spla.splu
+
+    def recorded(M, *args, **kwargs):
+        lu = splu(M, *args, **kwargs)
+        factored.append((M, lu))
+        return lu
+
+    monkeypatch.setattr(spectral.spla, "splu", recorded)
+
+    def builder(lay):
+        return kd_operator(abc_field(1.0, 1.0, 1.0), 0.08, lay)
+
+    blocks = builder(BasisLayout(3, 2))
+    systems = [eigensolve(b, vectors=False) for b in blocks]
+    convergence_masks(systems, builder, Tolerances(tol_converge=1e-2), blocks)
+    assert len(factored) == 22
+    rng = np.random.default_rng(3)
+    for M, lu in factored:
+        default = splu(M)
+        assert (lu.L.nnz + lu.U.nnz
+                <= 0.6 * (default.L.nnz + default.U.nnz))
+        b = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+        x = lu.solve(b)
+        backward = (np.linalg.norm(M @ x - b)
+                    / (spla.norm(M, 1) * np.linalg.norm(x)))
+        assert backward <= 1e-14
+
+
+def test_refined_near_finds_nothing_at_an_exactly_singular_shift():
+    # 5 - 1e-7j plus the 1e-7j offset is the exact eigenvalue 5: the
+    # factorization fails there, and only that target goes empty
+    A = sp.diags(np.arange(1.0, 61.0), format="csc")
+    assert len(_refined_near(A, [5 - 1e-7j])) == 0
+    found = _refined_near(A, [10.2, 5 - 1e-7j, 40.2])
+    expected = np.concatenate([np.arange(8.0, 14.0), np.arange(38.0, 44.0)])
+    assert np.allclose(np.sort(found.real), expected, rtol=0, atol=1e-10)
+    assert np.abs(found.imag).max() <= 1e-10
+
+
 def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
     # a multiplication added to the degree-2 block breaks [d, H] = 0, so
     # im d^1 is no longer invariant and there is no reduced operator
