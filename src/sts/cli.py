@@ -242,8 +242,10 @@ def cmd_dynamo(config, args, out_dir):
         )
         gamma_eig, omega_eig = -payload["ground"]["re"], abs(payload["ground"]["im"])
         doc.checks["growth_rate_2pct"] = abs(gamma - gamma_eig) <= 0.02 * abs(gamma_eig)
+        # the frequency bound scales with |E_g|, not omega_eig: a real
+        # ground (omega_eig = 0) would otherwise allow no frequency at all
         doc.checks["frequency_5pct"] = (
-            abs(omega - omega_eig) <= 0.05 * max(omega_eig, 1e-6)
+            abs(omega - omega_eig) <= 0.05 * abs(complex(gamma_eig, omega_eig))
         )
         payload["oracle"] = {"gamma": gamma, "omega": omega}
         payload["eigensolve"] = {"gamma": gamma_eig, "omega": omega_eig}
@@ -381,11 +383,11 @@ def _build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--truncation", type=int, default=None)
-        # sweep cells set theta; only the spectral pipeline reads t_grid
+        # sweep cells set theta; only run_pipeline's trace samples read t_grid
         if name != "sweep":
             p.add_argument("--theta", type=float, default=None)
         p.add_argument("--alpha", type=float, default=None)
-        if name not in ("evolve", "mc-compare"):
+        if name not in ("evolve", "mc-compare", "sweep"):
             p.add_argument("--t-grid", type=float_list, default=None)
         if name == "evolve":
             p.add_argument("--t", type=_number(float, False), default=1.0)

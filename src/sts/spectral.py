@@ -34,13 +34,12 @@ _DEFECTIVE_COND = 1e10
 # largest imaginary part a block may keep in its cos/sin basis, relative
 # to its largest real entry: roundoff of real fields' products
 _REAL_TOL = 1e-12
-# largest relative residual ||A P - P R|| / ||A|| of a block on im d, and
 # largest relative commutator ||d H^(k) - H^(k+1) d|| / (||d|| ||H^(k)||):
 # the blocks commute with d exactly, so anything above roundoff is a defect
 _INVARIANCE_TOL = 1e-12
 # up to this dimension blocks are solved with eigenvectors and guarded by a
-# dense refined solve (in 2-D of degrees 0 and 2 only, whose union is the
-# degree-1 spectrum); 3-D advection-dominated blocks have unusable global
+# dense refined solve of degrees 0 and D, whose union is the spectrum of
+# every degree between; 3-D advection-dominated blocks have unusable global
 # eigenbases and are too large to re-solve, so they get eigenvalues only
 # and a shift-invert guard on the d-exact subspaces of the refined operator
 _MAX_VECTOR_DIMENSION = 2
@@ -449,54 +448,51 @@ def convergence_masks(systems, builder, tol, blocks):
     """Flag eigenvalues reproduced by the refined truncation N + 2.
 
     ``builder(layout)`` must return SeoBlocks on any layout, and
-    ``blocks`` are the blocks ``systems`` were solved from.  Layouts
-    solved with eigenvectors are re-solved densely on the refined layout
-    and every eigenvalue is checked against the refined spectrum of its
-    degree.  1-D solves every refined block, since an operator such as
-    the Hermitian Langevin oracle need not commute with d.  2-D solves
-    degrees 0 and 2 only, and takes their multiset union as the refined
-    degree-1 spectrum (by the splitting below, with b = (1, 2, 1)); it
-    raises ValueError when the refined operator does not commute with d
-    to 1e-12 relative (:meth:`SeoBlocks.d_commutator_residuals`).  A 3-D
-    dense refined solve is too costly, so there the guard uses that d
-    commutes with H: im d^j is invariant under H^(j+1), and spec H^(k)
-    is the union of spec R_(k-1),
-    b_k = C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j
-    the operator on im d^j (see :func:`exact_basis`).  The 12 lowest
-    distinct eigenvalues, in (Re, Im) order, of each base R_j are the
-    shifts of a sparse shift-inverted solve of the refined R_j; R_j is
-    real, so a conjugate pair of shifts shares one solve, and the refined
-    eigenvalues at the second shift are the mirrored ones (see
-    :func:`_refined_near`).  Each of
-    the 4 * 12 lowest eigenvalues of degree k is attributed to R_(k-1),
-    R_k or a Betti zero by a greedy one-to-one nearest matching with the
-    base spectra, and is checked only against what the refined solve of
-    its own R_j found.  The refined Betti zeros join every check of degree k
-    when 0 is one of its 12 lowest distinct eigenvalues, where a
-    shift-invert of the full refined block finds them; a Betti zero is
-    certified only then.  All other eigenvalues are left flagged
-    unconverged.  Raises ValueError when some block does not leave im d
-    invariant.
+    ``blocks`` are the blocks ``systems`` were solved from.  In 2-D and
+    3-D the guard uses that d commutes with H: im d^j is then invariant
+    under H^(j+1), and spec H^(k) is the union of spec R_(k-1), b_k =
+    C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j the
+    operator on im d^j (see :func:`exact_basis`).  So it first raises
+    ValueError when the refined operator does not commute with d to
+    1e-12 relative (:meth:`SeoBlocks.d_commutator_residuals`).  1-D is
+    not checked, since an operator such as the Hermitian Langevin oracle
+    need not commute with d.  Layouts solved with eigenvectors are
+    guarded by a dense solve of the refined degrees 0 and D: each is
+    checked against its own refined spectrum, and every degree between
+    against their multiset union (in 2-D, with b = (1, 2, 1), the
+    degree-1 spectrum; 1-D has no degree between, so every refined
+    block is solved).  A 3-D dense refined solve is too costly, so there
+    the 12 lowest distinct eigenvalues, in (Re, Im) order, of each base
+    R_j are the shifts of a sparse shift-inverted solve of the refined
+    R_j; R_j is real, so a conjugate pair of shifts shares one solve,
+    and the refined eigenvalues at the second shift are the mirrored
+    ones (see :func:`_refined_near`).  Each of the 4 * 12 lowest
+    eigenvalues of degree k is attributed to R_(k-1), R_k or a Betti
+    zero by a greedy one-to-one nearest matching with the base spectra,
+    and is checked only against what the refined solve of its own R_j
+    found.  The refined Betti zeros join every check of degree k when 0
+    is one of its 12 lowest distinct eigenvalues, where a shift-invert
+    of the full refined block finds them; a Betti zero is certified only
+    then.  All other eigenvalues are left flagged unconverged.
     """
     layout = systems[0].layout
+    D = layout.dimension
     fine = builder(layout.refined())
-    if layout.dimension <= _MAX_VECTOR_DIMENSION:
-        if layout.dimension == 2:
-            for k, resid in enumerate(fine.d_commutator_residuals()):
-                if resid > _INVARIANCE_TOL:
-                    raise ValueError(
-                        f"the degree-{k} and degree-{k + 1} blocks do not "
-                        f"commute with d (residual {resid:.3g})")
-            # with b = (1, 2, 1), spec H^(1) = spec R_0, 2 zeros and
-            # spec R_1 is the union of spec H^(0) and spec H^(2)
-            w0, w2 = (_real_eig(fine[k], vectors=False)[0] for k in (0, 2))
-            refined = [w0, np.concatenate([w0, w2]), w2]
-        else:
-            refined = [_real_eig(b, vectors=False)[0] for b in fine]
+    if D >= 2:
+        for k, resid in enumerate(fine.d_commutator_residuals()):
+            if resid > _INVARIANCE_TOL:
+                raise ValueError(
+                    f"the degree-{k} and degree-{k + 1} blocks do not "
+                    f"commute with d (residual {resid:.3g})")
+    if D <= _MAX_VECTOR_DIMENSION:
+        # in 2-D, with b = (1, 2, 1), spec H^(1) = spec R_0, 2 zeros and
+        # spec R_1 is the union of spec H^(0) and spec H^(2); 1-D has no
+        # degree between 0 and D
+        w0, wD = (_real_eig(fine[k], vectors=False)[0] for k in (0, D))
+        refined = [w0] + [np.concatenate([w0, wD])] * (D - 1) + [wD]
         return [_drift_mask(s.eigenvalues, w, tol.tol_converge)
                 for s, w in zip(systems, refined)]
     m = 12
-    D = layout.dimension
     base, found = [], []
     for j in range(D):
         w = np.linalg.eigvals(
@@ -530,22 +526,11 @@ def convergence_masks(systems, builder, tol, blocks):
 
 
 def _reduce(block, P):
-    """Real matrix of R = P^H A P, the block A restricted to the invariant
-    subspace that the orthonormal columns of an :func:`exact_basis` P span.
-
-    Raises ValueError, naming the degree, when the invariance residual
-    ||A P - P R|| / ||A|| exceeds 1e-12: the block does not commute with
-    d.
-    """
-    A = block.matrix
-    AP = A @ P
-    R = (P.conj().T @ AP).tocsr()
-    resid = spla.norm(AP - P @ R) / max(spla.norm(A), 1e-300)
-    if resid > _INVARIANCE_TOL:
-        raise ValueError(
-            f"the degree-{block.k_in} block does not leave im d invariant "
-            f"(residual {resid:.3g}): the operator does not commute with d")
-    return _real_part(R)
+    """Real matrix of R = P^H A P, the block A restricted to the subspace
+    that the orthonormal columns of an :func:`exact_basis` P span; that
+    subspace is invariant for an operator that commutes with d, which
+    :func:`convergence_masks` checks before it reduces."""
+    return _real_part(P.conj().T @ (block.matrix @ P))
 
 
 def _partners(a, b):

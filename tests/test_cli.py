@@ -362,22 +362,31 @@ def test_cli_mc_compare_steps_the_interpretation_it_is_given(tmp_path, alpha):
     assert report["payload"]["l1_distance"] <= 0.05
 
 
-def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
-        tmp_path, monkeypatch):
-    # with every eigenvalue certified, ABC at N = 2 has a broken-complex
-    # ground state, so cmd_dynamo runs its time-stepping oracle
+def dynamo_with_every_eigenvalue_certified(tmp_path, monkeypatch, C,
+                                           truncation, theta):
+    """Exit code and report of ``dynamo`` on ABC(1, 1, C) with the guard
+    replaced by one that certifies every eigenvalue, so that a broken
+    ground state reaches the time-stepping oracle."""
     def certify_all(systems, builder, tol, blocks):
         return [np.ones(s.size, bool) for s in systems]
 
     monkeypatch.setattr(sts.spectral, "convergence_masks", certify_all)
-    doc = {"dimension": 3, "truncation": 2, "theta": 0.08,
+    doc = {"dimension": 3, "truncation": truncation, "theta": theta,
            "flow": {"preset": "abc",
-                    "params": {"A": 1.0, "B": 1.0, "C": 1.0}},
+                    "params": {"A": 1.0, "B": 1.0, "C": C}},
            "tolerances": {"tol_converge": 1e-2}}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
-    assert main(["dynamo", "--config", cfg, "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    code = main(["dynamo", "--config", cfg, "--out", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
+        tmp_path, monkeypatch):
+    # ABC at N = 2 has a broken-complex ground state
+    code, report = dynamo_with_every_eigenvalue_certified(
+        tmp_path, monkeypatch, C=1.0, truncation=2, theta=0.08)
+    assert code == 0
     payload = report["payload"]
     assert payload["classification"] == "broken-complex"
     assert report["checks"] == {"converged": True, "growth_rate_2pct": True,
@@ -386,6 +395,24 @@ def test_cli_dynamo_checks_a_broken_ground_state_against_the_oracle(
     assert eig["gamma"] > 0 and eig["omega"] > 0
     assert oracle["gamma"] == pytest.approx(eig["gamma"], rel=0.02)
     assert oracle["omega"] == pytest.approx(eig["omega"], rel=0.05)
+
+
+def test_cli_dynamo_checks_a_real_ground_state_against_the_oracle(
+        tmp_path, monkeypatch):
+    # Roberts (ABC with C = 0) at N = 3 has a broken-real ground state; the
+    # oracle resolves its zero frequency to about 1e-4, which the 5 % bound
+    # on |E_g| allows
+    code, report = dynamo_with_every_eigenvalue_certified(
+        tmp_path, monkeypatch, C=0.0, truncation=3, theta=0.05)
+    assert code == 0
+    payload = report["payload"]
+    assert payload["classification"] == "broken-real"
+    assert report["checks"] == {"converged": True, "growth_rate_2pct": True,
+                                "frequency_5pct": True}
+    oracle, eig = payload["oracle"], payload["eigensolve"]
+    assert eig["gamma"] > 0 and eig["omega"] == 0
+    assert oracle["gamma"] == pytest.approx(eig["gamma"], rel=0.02)
+    assert abs(oracle["omega"]) <= 0.05 * eig["gamma"]
 
 
 def test_cli_pure_advection_abc_is_unbroken(tmp_path):
@@ -659,10 +686,12 @@ _OUT_OF_RANGE = [
     _case("mc-dt-nan", "mc-compare", MINIMAL, "--dt", "nan"),
     _case("dynamo-steps-0", "dynamo", _ABC, "--steps", "0"),
     # flags a command never reads are refused: each sweep cell sets its
-    # own theta, and only the spectral pipeline reads the t grid
+    # own theta, and only the spectral pipeline's trace samples read the t
+    # grid
     _case("sweep-theta-override", "sweep", _RANDOM_SWEEP, "--theta", "0.7"),
     _case("evolve-t-grid", "evolve", MINIMAL, "--t-grid", "0.1,1"),
     _case("mc-compare-t-grid", "mc-compare", MINIMAL, "--t-grid", "0.1,1"),
+    _case("sweep-t-grid", "sweep", _RANDOM_SWEEP, "--t-grid", "0.1,1"),
     # theta is the dynamo's magnetic diffusivity, and its noise is fixed
     _case("dynamo-theta-0", "dynamo", {**_ABC, "theta": 0}),
     _case("dynamo-theta-0-override", "dynamo", _ABC, "--theta", "0"),

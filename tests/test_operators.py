@@ -1,5 +1,6 @@
 """Assembly of the graded evolution operators."""
 
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -245,6 +246,10 @@ def test_d_exactness_on_random_models(D, N, n_noise, theta, alpha, seed):
     model = SdeModel(BasisLayout(D, N), field(),
                      [field() for _ in range(n_noise)], theta, alpha)
     H, HT = seo_alpha(model), seo_time_reversed(model)
+    # the refinement guard refuses an operator whose refined blocks do not
+    # commute with d to 1e-12, so no drawn model may come near that
+    fine = seo_alpha(replace(model, layout=model.layout.refined()))
+    assert max(fine.d_commutator_residuals()) <= 1e-12
     systems = []
     for blocks in (H, HT):
         assert max(blocks.d_commutator_residuals()) <= 1e-12

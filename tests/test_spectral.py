@@ -185,19 +185,25 @@ def test_pairing_check_langevin():
     assert res["even_odd_distance"] < 1e-8
 
 
-def bumped_shear(amplitude):
-    """Builder of the guarded shear model with a cos x multiplication of
-    ``amplitude`` added to its degree-1 block: any nonzero amplitude
-    breaks [d, H] = 0."""
+def bumped(operator, degree, amplitude):
+    """Builder of ``operator(layout)`` with a cos x multiplication of
+    ``amplitude`` added to its degree-``degree`` block: any nonzero
+    amplitude breaks [d, H] = 0."""
     def builder(lay):
-        H = seo_alpha(shear_model(lay))
-        bump = multiply_matrix(TrigField.cos(2, 0, amplitude), lay, 1)
+        H = operator(lay)
+        bump = multiply_matrix(TrigField.cos(lay.dimension, 0, amplitude), lay,
+                               degree)
         return SeoBlocks(
-            tuple(OperatorBlock(k, lay, b.matrix + bump) if k == 1 else b
+            tuple(OperatorBlock(k, lay, b.matrix + bump) if k == degree else b
                   for k, b in enumerate(H)),
             lay,
         )
     return builder
+
+
+def bumped_shear(amplitude):
+    """Builder of the guarded shear model bumped in its degree-1 block."""
+    return bumped(lambda lay: seo_alpha(shear_model(lay)), 1, amplitude)
 
 
 def full_dense_guard(systems, fine, tol):
@@ -521,29 +527,21 @@ def test_refined_near_finds_nothing_at_an_exactly_singular_shift():
     assert np.abs(found.imag).max() <= 1e-10
 
 
-def test_3d_guard_refuses_an_operator_that_does_not_commute_with_d():
-    # a multiplication added to the degree-2 block breaks [d, H] = 0, so
-    # im d^1 is no longer invariant and there is no reduced operator
-    def builder(lay):
-        H = kd_operator(abc_field(1.0, 1.0, 1.0), 0.3, lay)
-        bump = multiply_matrix(TrigField.cos(3, 0), lay, 2)
-        return SeoBlocks(
-            tuple(OperatorBlock(k, lay, b.matrix + bump) if k == 2 else b
-                  for k, b in enumerate(H)),
-            lay,
-        )
-
-    blocks = builder(BasisLayout(3, 1))
-    with pytest.raises(ValueError, match="degree-2"):
-        analyze(blocks, builder, Tolerances(tol_converge=1e-2))
-
-
-def test_2d_guard_refuses_an_operator_that_does_not_commute_with_d():
-    # the refined degree-1 spectrum is the union of degrees 0 and 2 only
-    # for an operator that commutes with d
-    builder = bumped_shear(0.3)
+@pytest.mark.parametrize("D,degree", [(2, 1), (3, 2), (3, 0)])
+def test_guard_refuses_an_operator_that_does_not_commute_with_d(D, degree):
+    # the guard's split of spec H^(k) into spec R_(k-1), Betti zeros and
+    # spec R_k holds only for an operator that commutes with d.  A degree-0
+    # bump leaves every im d^j invariant under the untouched H^(j+1), yet
+    # spec H^(0) is no longer that of R_0 and a zero
+    if D == 2:
+        builder, layout, tol = bumped_shear(0.3), BasisLayout(2, 3), TOL
+    else:
+        builder = bumped(
+            lambda lay: kd_operator(abc_field(1.0, 1.0, 1.0), 0.3, lay),
+            degree, 1.0)
+        layout, tol = BasisLayout(3, 1), Tolerances(tol_converge=1e-2)
     with pytest.raises(ValueError, match="commute with d"):
-        analyze(builder(BasisLayout(2, 3)), builder, TOL)
+        analyze(builder(layout), builder, tol)
 
 
 @pytest.fixture
