@@ -227,6 +227,9 @@ def cmd_mc_compare(config, args, out_dir):
 
 def cmd_dynamo(config, args, out_dir):
     _check_dynamo(config)
+    if args.steps < 2:
+        # one step would give the oracle's log-norm fit a single point
+        raise ConfigError(f"--steps must be at least 2, got {args.steps}")
     systems, _, doc = run_pipeline(config, _kd_builder, out_dir)
     payload = doc.payload
     if payload["classification"] in (spectral.BROKEN_REAL, spectral.BROKEN_COMPLEX):

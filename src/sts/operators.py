@@ -10,6 +10,7 @@ truncation, which keeps the boson-fermion pairing of the spectrum intact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import scipy.sparse as sp
 
@@ -115,9 +116,11 @@ def _blocks(matrices, layout):
     )
 
 
+@cache
 def _derivatives(layout):
-    """The exterior derivatives d: degree j -> j + 1 for j = 0..D-1."""
-    return [d_matrix(layout, j) for j in range(layout.dimension)]
+    """The exterior derivatives d: degree j -> j + 1 for j = 0..D-1, built
+    once per layout; every reader multiplies them and never edits one."""
+    return tuple(d_matrix(layout, j) for j in range(layout.dimension))
 
 
 def _graded_anticommutator(up, down, layout):
@@ -140,18 +143,15 @@ def _graded_anticommutator(up, down, layout):
     return out
 
 
-def lie_matrices(G, layout, d=None):
+def lie_matrices(G, layout):
     """Lie derivative along G on every degree via the Cartan formula.
 
     Both terms use the truncated interior product, so the commutator
-    [d, L_G] vanishes identically on the truncated basis.  ``d`` is
-    the list of :func:`_derivatives` when the caller already has it.
+    [d, L_G] vanishes identically on the truncated basis.
     """
-    if d is None:
-        d = _derivatives(layout)
     degrees = range(1, layout.dimension + 1)
     iota = [None] + [interior_matrix(G, layout, j) for j in degrees]
-    return _graded_anticommutator(d, iota, layout)
+    return _graded_anticommutator(_derivatives(layout), iota, layout)
 
 
 def alpha_drift(F, noise, theta, alpha):
@@ -189,9 +189,8 @@ def seo_alpha(model):
     gives exactly the blocks of the dynamo generator L_v + eta Delta_H.
     """
     layout = model.layout
-    d = _derivatives(layout)
-    H = lie_matrices(stratonovich(model).drift, layout, d)
-    lies = [lie_matrices(e, layout, d) for e in model.noise]
+    H = lie_matrices(stratonovich(model).drift, layout)
+    lies = [lie_matrices(e, layout) for e in model.noise]
     if lies:
         H = [h - model.theta * sum(L[k] @ L[k] for L in lies)
              for k, h in enumerate(H)]

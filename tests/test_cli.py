@@ -597,6 +597,8 @@ _OVERFLOWS = [
                             "flow": {"preset": "abc"}}, [], id="dynamo"),
     pytest.param("mc-compare", {**MINIMAL, "truncation": 4},
                  ["--t", "1e308"], id="mc-compare-t"),
+    pytest.param("evolve", {**MINIMAL, "truncation": 4},
+                 ["--t", "1e308"], id="evolve-t"),
     pytest.param("sweep", {**MINIMAL, "truncation": 4,
                            "flow": {"preset": "random"},
                            "sweep": {"theta": [0.5, 1e308], "parameter": "seed",
@@ -685,6 +687,7 @@ _OUT_OF_RANGE = [
     _case("mc-dt-negative", "mc-compare", MINIMAL, "--dt", "-0.01"),
     _case("mc-dt-nan", "mc-compare", MINIMAL, "--dt", "nan"),
     _case("dynamo-steps-0", "dynamo", _ABC, "--steps", "0"),
+    _case("dynamo-steps-1", "dynamo", _ABC, "--steps", "1"),
     # flags a command never reads are refused: each sweep cell sets its
     # own theta, and only the spectral pipeline's trace samples read the t
     # grid

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sts import operators
 from sts.exterior import d_matrix, exact_basis
 from sts.layout import BasisLayout
 from sts.operators import (
@@ -229,7 +230,24 @@ def test_d_exactness_of_assembled_operators():
             assert max(blocks.d_commutator_residuals()) < 1e-12
 
 
-@settings(max_examples=40, deadline=None)
+def test_derivatives_are_built_once_per_layout(monkeypatch):
+    # every operator of a layout and its [d, H] check read one tuple of d^j
+    built = []
+
+    def counting_d_matrix(layout, j):
+        built.append(j)
+        return d_matrix(layout, j)
+
+    monkeypatch.setattr(operators, "d_matrix", counting_d_matrix)
+    operators._derivatives.cache_clear()
+    lay = BasisLayout(2, 2)
+    seo_alpha(shear_model(lay))
+    seo_alpha(shear_model(lay)).d_commutator_residuals()
+    assert built == [0, 1]
+    assert operators._derivatives(lay) is operators._derivatives(lay)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(D=st.integers(1, 3), N=st.integers(1, 2), n_noise=st.integers(1, 2),
        theta=st.floats(0, 1), alpha=st.floats(0, 1),
        seed=st.integers(0, 2**32 - 1))
