@@ -6,11 +6,17 @@ follow the same law in every interpretation alpha; fields along
 trajectories are evaluated by ``TrigField.evaluate`` as real cos/sin
 sums over one half-space of wavevectors (each +-kappa pair folded once
 per field), which is exact for the band-limited fields used everywhere
-in this package.  Operator densities are propagated by ``expm`` of the
-top-degree block and averaged over histogram bins analytically.
+in this package.  Threads step contiguous blocks of paths, one per
+usable CPU; a path's arithmetic reads only its own row, so no state
+depends on the CPU count.  Operator densities are propagated by ``expm``
+of the top-degree block and averaged over histogram bins analytically.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,7 +37,8 @@ def _increment(model, x, dt, dw, sqrt2theta):
 
 
 def max_stable_dt(model):
-    """Step bound 0.1 / (max |F| + theta * max noise gradient), F as stepped."""
+    """Step bound 0.1 / max(max|F| + theta sum_a max(max|d e_a|, max|e_a|),
+    1e-12), F the drift as stepped and each max a sum of amplitude moduli."""
     scale = stratonovich(model).drift.max_abs()
     for e in model.noise:
         grad = max(
@@ -58,16 +65,28 @@ def ensemble_states(model, n_traj, dt, steps, rng, x0=None):
     if x0 is None:
         x0 = rng.uniform(0.0, TWO_PI, size=(n_traj, model.dimension))
     x = np.array(x0, dtype=float)
-    M = len(model.noise)
     s2t = np.sqrt(2.0 * model.theta)
-    for n in range(steps):
-        dw = rng.normal(0.0, np.sqrt(dt), size=(len(x), M))
-        k1 = _increment(model, x, dt, dw, s2t)
-        k2 = _increment(model, x + k1, dt, dw, s2t)
-        x = x + 0.5 * (k1 + k2)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"integration diverged at step {n}")
-        x = np.mod(x, TWO_PI)
+
+    def advance(rows, dw):
+        """Heun-step x[rows] in place; False, x[rows] untouched, on overflow."""
+        k1 = _increment(model, x[rows], dt, dw[rows], s2t)
+        k2 = _increment(model, x[rows] + k1, dt, dw[rows], s2t)
+        y = x[rows] + 0.5 * (k1 + k2)
+        if not np.all(np.isfinite(y)):
+            return False
+        np.mod(y, TWO_PI, out=x[rows])
+        return True
+
+    k = max(1, min(len(x), len(os.sched_getaffinity(0))))  # one block if no paths
+    blocks = [slice(len(x) * i // k, len(x) * (i + 1) // k) for i in range(k)]
+    with ThreadPoolExecutor(k) as pool:
+        for n in range(steps):
+            dw = rng.normal(0.0, np.sqrt(dt), size=(len(x), len(model.noise)))
+            # each worker keeps the caller's numpy error state
+            done = [pool.submit(contextvars.copy_context().run, advance, rows, dw)
+                    for rows in blocks]
+            if not all([task.result() for task in done]):
+                raise FloatingPointError(f"integration diverged at step {n}")
     return x
 
 

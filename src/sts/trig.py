@@ -178,14 +178,15 @@ class TrigField:
         return self._fold
 
     def evaluate(self, x):
-        """Evaluate at points ``x`` of shape (..., D) as real cos/sin sums."""
-        mean, (k_cos, w_cos), (k_sin, w_sin) = self._folded()
+        """Evaluate at points ``x`` of shape (..., D) as real cos/sin sums,
+        each row alone in a fixed order without BLAS, whatever rows it shares."""
+        mean, *parts = self._folded()
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape[:-1], mean)
-        if len(w_cos):
-            out += np.cos(x @ k_cos) @ w_cos
-        if len(w_sin):
-            out += np.sin(x @ k_sin) @ w_sin
+        for wave, (K, w) in zip((np.cos, np.sin), parts):
+            if len(w):
+                phase = sum(x[..., j : j + 1] * K[j] for j in range(self.dimension))
+                out += np.einsum("...m,m->...", wave(phase), w)
         return out
 
     def max_abs(self):

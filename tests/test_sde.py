@@ -1,13 +1,17 @@
 """Trajectory integration, densities, operator evolution, the induction oracle."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sts.config import abc_field
 from sts.exterior import OperatorBlock
 from sts.layout import BasisLayout, FormVector
-from sts.operators import SdeModel, seo_alpha
+from sts.operators import SdeModel, seo_alpha, stratonovich
 from sts.sde import (
+    _increment,
     default_bins,
     density_bin_averages,
     ensemble_density,
@@ -36,6 +40,50 @@ def test_trajectory_reruns_bit_identical():
         a = endpoint(m, [1.0], 0.05, steps, np.random.default_rng([3, 0]))
         b = endpoint(m, [1.0], 0.05, steps, np.random.default_rng([3, 0]))
         assert np.array_equal(a, b)
+
+
+def serial_heun(model, n_traj, dt, steps, rng):
+    """Reference: every path Heun-stepped in one block, as one loop."""
+    model = stratonovich(model)
+    x = rng.uniform(0.0, TWO_PI, size=(n_traj, model.dimension))
+    s2t = np.sqrt(2.0 * model.theta)
+    for _ in range(steps):
+        dw = rng.normal(0.0, np.sqrt(dt), size=(n_traj, len(model.noise)))
+        k1 = _increment(model, x, dt, dw, s2t)
+        k2 = _increment(model, x + k1, dt, dw, s2t)
+        x = np.mod(x + 0.5 * (k1 + k2), TWO_PI)
+    return x
+
+
+_STEPPED_MODELS = {
+    "multiplicative-1d": lambda: multiplicative_model(alpha=0.2),
+    "random-2d": lambda: random_flow_model(7),
+    "abc-3d": lambda: SdeModel(BasisLayout(3, 2), abc_field(1.0, 1.0, 1.0),
+                               identity_frame(3), 0.08),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STEPPED_MODELS))
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocks_step_bit_identically_to_one_loop(monkeypatch, name, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+    m = _STEPPED_MODELS[name]()
+    dt = max_stable_dt(m)
+    for n_traj in (3001, 1, 0):
+        got = ensemble_states(m, n_traj, dt, 20, np.random.default_rng([2, 0]))
+        want = serial_heun(m, n_traj, dt, 20, np.random.default_rng([2, 0]))
+        assert got.shape == (n_traj, m.dimension)
+        assert np.array_equal(got, want)
+
+
+def test_workers_keep_the_callers_error_state():
+    # sin of an overflowed phase warns unless the caller's errstate holds
+    m = langevin_cos_model(theta=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError,
+                           match="^integration diverged at step 0$"):
+            ensemble_states(m, 8, max_stable_dt(m), 1,
+                            np.random.default_rng([0, 0]))
 
 
 def test_step_bound_enforced():
