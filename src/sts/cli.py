@@ -47,9 +47,9 @@ _WITTEN_BOUND = 1e-6
 _NUMERICAL_FAILURES = (FloatingPointError, OverflowError, np.linalg.LinAlgError)
 
 
-def _seo_builder(config):
+def _seo_builder(config, shared=None):
     def build(layout):
-        return seo_alpha(build_model(config, layout.truncation))
+        return seo_alpha(build_model(config, layout.truncation), shared)
     return build
 
 
@@ -298,12 +298,11 @@ def cmd_langevin_check(config, args, out_dir):
     return doc
 
 
-def _sweep_cell(config, theta, value):
-    params = dict(config.flow["params"])
-    params[config.sweep["parameter"]] = value
-    flow = dict(config.flow)
-    flow["params"] = params
-    build = _seo_builder(replace(config, theta=theta, flow=flow, sweep=None))
+def _sweep_cell(config, theta, value, shared):
+    flow = {**config.flow, "params": {**config.flow["params"],
+                                      config.sweep["parameter"]: value}}
+    build = _seo_builder(replace(config, theta=theta, flow=flow, sweep=None),
+                         shared)
     tol = config.tolerances
     # a cell prints only its verdict, which needs no eigenvectors; an
     # indeterminate cell says why in its last column
@@ -311,6 +310,7 @@ def _sweep_cell(config, theta, value):
         blocks = build(BasisLayout(config.dimension, config.truncation))
         systems = spectral.analyze(blocks, build, tol, vectors=False)
     except _NUMERICAL_FAILURES as exc:
+        shared.clear()  # nothing a failed cell assembled is reused
         return (theta, value, spectral.INDETERMINATE, None, None, False,
                 f"{type(exc).__name__}: {exc}")
     label = spectral.classify(systems, tol)
@@ -323,11 +323,13 @@ def _sweep_cell(config, theta, value):
 def cmd_sweep(config, args, out_dir):
     if config.sweep is None:
         raise ConfigError("sweep command needs a 'sweep' section in the config")
-    rows = [
-        _sweep_cell(config, theta, value)
-        for theta in config.sweep["theta"]
-        for value in config.sweep["values"]
-    ]
+    # one flow value at a time, its cells sharing its theta-free parts
+    columns = []
+    for value in config.sweep["values"]:
+        shared = {}
+        columns.append([_sweep_cell(config, theta, value, shared)
+                        for theta in config.sweep["theta"]])
+    rows = [cell for row in zip(*columns) for cell in row]
     write_table_csv(
         Path(out_dir) / "sweep.csv",
         ["theta", config.sweep["parameter"], "classification",

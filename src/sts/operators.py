@@ -181,20 +181,35 @@ def stratonovich(model):
     return replace(model, drift=drift, alpha=0.5)
 
 
-def seo_alpha(model):
+def seo_alpha(model, shared=None):
     """Evolution operator H = L_F - theta sum_a L_a L_a, F the drift of
     the model's Stratonovich equivalent.
 
     The noise term is summed before it is scaled, so the identity frame
     gives exactly the blocks of the dynamo generator L_v + eta Delta_H.
+    A caller's dict ``shared`` keeps L_F and sum_a L_a L_a, keyed by the
+    fields' Fourier coefficients and the layout, for calls that differ
+    only in theta; the blocks are those of a call without it, bit for bit.
     """
     layout = model.layout
-    H = lie_matrices(stratonovich(model).drift, layout)
-    lies = [lie_matrices(e, layout) for e in model.noise]
-    if lies:
-        H = [h - model.theta * sum(L[k] @ L[k] for L in lies)
-             for k, h in enumerate(H)]
-    return _blocks(H, layout)
+    shared = {} if shared is None else shared
+    drift = stratonovich(model).drift
+    lie = ("drift", layout, _coefficients([drift]))
+    noise = ("noise", layout, _coefficients(model.noise))
+    if lie not in shared:
+        shared[lie] = lie_matrices(drift, layout)
+    if noise not in shared:
+        lies = [lie_matrices(e, layout) for e in model.noise]
+        shared[noise] = [sum(L[k] @ L[k] for L in lies)
+                         for k in range(layout.dimension + 1)]
+    # new matrices, so no reader edits a shared one (no noise: h - 0 = h)
+    return _blocks([h - model.theta * n
+                    for h, n in zip(shared[lie], shared[noise])], layout)
+
+
+def _coefficients(fields):
+    """The Fourier coefficients of FlowFields, in their own order."""
+    return tuple(tuple(c.coeffs.items()) for f in fields for c in f.components)
 
 
 def seo_time_reversed(model):

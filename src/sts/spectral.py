@@ -38,10 +38,9 @@ _REAL_TOL = 1e-12
 # the blocks commute with d exactly, so anything above roundoff is a defect
 _INVARIANCE_TOL = 1e-12
 # up to this dimension blocks are solved with eigenvectors and guarded by a
-# dense refined solve of degrees 0 and D, whose union is the spectrum of
-# every degree between; 3-D advection-dominated blocks have unusable global
-# eigenbases and are too large to re-solve, so they get eigenvalues only
-# and a shift-invert guard on the d-exact subspaces of the refined operator
+# dense refined solve (see _end_union); 3-D advection-dominated blocks have
+# unusable global eigenbases and are too large to re-solve, so they get
+# eigenvalues only and a shift-invert guard on the refined d-exact subspaces
 _MAX_VECTOR_DIMENSION = 2
 
 
@@ -452,44 +451,33 @@ def convergence_masks(systems, builder, tol, blocks):
     3-D the guard uses that d commutes with H: im d^j is then invariant
     under H^(j+1), and spec H^(k) is the union of spec R_(k-1), b_k =
     C(D, k) exact zeros and spec R_k, with R_j = P_j^H H^(j+1) P_j the
-    operator on im d^j (see :func:`exact_basis`).  So it first raises
-    ValueError when the refined operator does not commute with d to
-    1e-12 relative (:meth:`SeoBlocks.d_commutator_residuals`).  1-D is
-    not checked, since an operator such as the Hermitian Langevin oracle
-    need not commute with d.  Layouts solved with eigenvectors are
-    guarded by a dense solve of the refined degrees 0 and D: each is
-    checked against its own refined spectrum, and every degree between
-    against their multiset union (in 2-D, with b = (1, 2, 1), the
-    degree-1 spectrum; 1-D has no degree between, so every refined
-    block is solved).  A 3-D dense refined solve is too costly, so there
-    the 12 lowest distinct eigenvalues, in (Re, Im) order, of each base
-    R_j are the shifts of a sparse shift-inverted solve of the refined
-    R_j; R_j is real, so a conjugate pair of shifts shares one solve,
-    and the refined eigenvalues at the second shift are the mirrored
-    ones (see :func:`_refined_near`).  Each of the 4 * 12 lowest
-    eigenvalues of degree k is attributed to R_(k-1), R_k or a Betti
-    zero by a greedy one-to-one nearest matching with the base spectra,
-    and is checked only against what the refined solve of its own R_j
-    found.  The refined Betti zeros join every check of degree k when 0
-    is one of its 12 lowest distinct eigenvalues, where a shift-invert
-    of the full refined block finds them; a Betti zero is certified only
-    then.  All other eigenvalues are left flagged unconverged.
+    operator on im d^j (see :func:`exact_basis`).  So it first refuses a
+    refined operator that does not commute with d
+    (:func:`_refuse_noncommuting`).  Up to ``_MAX_VECTOR_DIMENSION`` it is a
+    dense solve of the refined degrees 0 and D (:func:`_end_union`; 1-D has
+    no degree between, so every refined block is solved).  A 3-D dense
+    refined solve is too costly, so there the 12 lowest distinct
+    eigenvalues, in (Re, Im) order, of each base R_j are the shifts of a
+    sparse shift-inverted solve of the refined R_j; R_j is real, so a
+    conjugate pair of shifts shares one solve, and the refined eigenvalues
+    at the second shift are the mirrored ones (see :func:`_refined_near`).
+    Each of the 4 * 12 lowest eigenvalues of degree k is attributed to
+    R_(k-1), R_k or a Betti zero by a greedy one-to-one nearest matching
+    with the base spectra, and is checked only against what the refined
+    solve of its own R_j found.  The refined Betti zeros join every check of
+    degree k when 0 is one of its 12 lowest distinct eigenvalues, where a
+    shift-invert of the full refined block finds them; a Betti zero is
+    certified only then.  All other eigenvalues are left flagged
+    unconverged.
     """
     layout = systems[0].layout
     D = layout.dimension
     fine = builder(layout.refined())
-    if D >= 2:
-        for k, resid in enumerate(fine.d_commutator_residuals()):
-            if resid > _INVARIANCE_TOL:
-                raise ValueError(
-                    f"the degree-{k} and degree-{k + 1} blocks do not "
-                    f"commute with d (residual {resid:.3g})")
+    if D >= 2:  # the Hermitian Langevin oracle need not commute with d
+        _refuse_noncommuting(fine)
     if D <= _MAX_VECTOR_DIMENSION:
-        # in 2-D, with b = (1, 2, 1), spec H^(1) = spec R_0, 2 zeros and
-        # spec R_1 is the union of spec H^(0) and spec H^(2); 1-D has no
-        # degree between 0 and D
-        w0, wD = (_real_eig(fine[k], vectors=False)[0] for k in (0, D))
-        refined = [w0] + [np.concatenate([w0, wD])] * (D - 1) + [wD]
+        refined = _end_union(*(_real_eig(fine[k], vectors=False)[0]
+                               for k in (0, D)), D)
         return [_drift_mask(s.eigenvalues, w, tol.tol_converge)
                 for s, w in zip(systems, refined)]
     m = 12
@@ -523,6 +511,21 @@ def convergence_masks(systems, builder, tol, blocks):
                 head[owner == i], np.concatenate([ref, zero]), tol.tol_converge)
         masks.append(mask)
     return masks
+
+
+def _refuse_noncommuting(blocks):
+    """ValueError when a relative [d, H] residual of blocks exceeds 1e-12."""
+    for k, resid in enumerate(blocks.d_commutator_residuals()):
+        if resid > _INVARIANCE_TOL:
+            raise ValueError(
+                f"the degree-{k} and degree-{k + 1} blocks do not "
+                f"commute with d (residual {resid:.3g})")
+
+
+def _end_union(w0, wD, D):
+    """Spectra of degrees 0..D <= 2 from those of 0 and D, when [d, H] = 0:
+    b = (1, 2, 1) gives spec H^(1) = spec H^(0) + spec H^(2) (multisets)."""
+    return [w0] + [np.concatenate([w0, wD])] * (D - 1) + [wD]
 
 
 def _reduce(block, P):
@@ -635,11 +638,21 @@ def analyze(blocks, builder, tol, vectors=True):
     certifications on each system's ``converged``.  Right vectors are
     computed when ``vectors`` is true and the dimension is at most
     ``_MAX_VECTOR_DIMENSION``; a caller that needs only eigenvalues (a
-    verdict, an oracle spectrum) passes False.  Returns the list of
-    :class:`EigenSystem`, one per degree.
+    verdict, an oracle spectrum) passes False; in 2-D it then solves
+    degrees 0 and 2 only (:func:`_end_union`, after the guard's [d, H]
+    refusal).  Returns the list of :class:`EigenSystem`, one per degree.
     """
-    vectors = vectors and blocks[0].layout.dimension <= _MAX_VECTOR_DIMENSION
-    systems = [eigensolve(b, vectors=vectors) for b in blocks]
+    D = blocks[0].layout.dimension
+    vectors = vectors and D <= _MAX_VECTOR_DIMENSION
+    if vectors or D != 2:
+        systems = [eigensolve(b, vectors=vectors) for b in blocks]
+    else:
+        s0, s2 = (eigensolve(blocks[k], vectors=False) for k in (0, 2))
+        _refuse_noncommuting(blocks)
+        w = _end_union(s0.eigenvalues, s2.eigenvalues, 2)[1]
+        order = np.lexsort((w.imag, w.real))
+        systems = [s0, EigenSystem(1, blocks[1].layout, w[order], None,
+                                   condition=float("nan")), s2]
     for s, mask in zip(systems, convergence_masks(systems, builder, tol, blocks)):
         s.converged = mask
     return systems

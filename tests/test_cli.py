@@ -21,6 +21,7 @@ from sts.config import (
     ConfigError,
     abc_field,
     build_flow,
+    build_model,
     build_noise,
     build_potential,
     canonical_json,
@@ -491,9 +492,9 @@ def test_cli_langevin_check(tmp_path, monkeypatch):
     truncations = []
     seo_alpha = sts.cli.seo_alpha
 
-    def counted(model):
+    def counted(model, *shared):
         truncations.append(model.layout.truncation)
-        return seo_alpha(model)
+        return seo_alpha(model, *shared)
 
     monkeypatch.setattr(sts.cli, "seo_alpha", counted)
     doc = {**MINIMAL, "truncation": 16}
@@ -561,6 +562,120 @@ def test_cli_sweep_cells_agree_with_spectrum(tmp_path, dimension, truncation):
         ground = complex(payload["ground"]["re"], payload["ground"]["im"])
         energy = complex(float(re_eg), float(im_eg))
         assert abs(energy - ground) <= 1e-12 * max(1.0, abs(ground)), (theta, seed)
+
+
+_MULT_NOISE_2D = [
+    [{"axis": 1, "wavevector": [0, 0], "re": 1.0, "im": 0.0},
+     {"axis": 1, "wavevector": [1, 0], "re": 0.15, "im": 0.0}],
+    [{"axis": 2, "wavevector": [0, 0], "re": 1.0, "im": 0.0}],
+]
+_SHARED_SWEEPS = [
+    # (config, noise fields, whether the drift depends on theta)
+    pytest.param({"dimension": 2, "truncation": 3, "theta": 0.05,
+                  "flow": {"preset": "random", "params": {"bandwidth": 1}},
+                  "sweep": {"theta": [0.05, 0.5], "parameter": "seed",
+                            "values": [3, 8, 3]}}, 2, False, id="random-2d"),
+    pytest.param({"dimension": 2, "truncation": 3, "theta": 0.3, "alpha": 0.2,
+                  "flow": {"preset": "random", "params": {"bandwidth": 1}},
+                  "noise": _MULT_NOISE_2D,
+                  "sweep": {"theta": [0.05, 0.5], "parameter": "seed",
+                            "values": [3, 8]}}, 2, True, id="alpha-mult-2d"),
+    pytest.param({"dimension": 3, "truncation": 1, "theta": 0.3,
+                  "flow": {"preset": "abc"}, "tolerances": {"tol_converge": 1e-2},
+                  "sweep": {"theta": [0.3, 0.5], "parameter": "C",
+                            "values": [1.0, 0.0]}}, 3, False, id="abc-3d"),
+]
+
+
+@pytest.mark.parametrize("doc, noise_fields, theta_drift", _SHARED_SWEEPS)
+def test_cli_sweep_shares_each_flow_value_exactly(tmp_path, monkeypatch, doc,
+                                                  noise_fields, theta_drift):
+    # the cells of one flow value share its theta-free operator parts:
+    # every block equals a fresh assembly bit for bit, every row a cell
+    # built from scratch, and nothing is kept from one run to the next
+    built = []
+    seo_alpha = sts.cli.seo_alpha
+
+    def captured(model, *shared):
+        # a snapshot: the guard's readers may sort a block's indices later
+        blocks = seo_alpha(model, *shared)
+        built.append([b.matrix.copy() for b in blocks])
+        return blocks
+
+    lies = []
+    lie_matrices = sts.operators.lie_matrices
+
+    def counted(G, layout):
+        lies.append(layout)
+        return lie_matrices(G, layout)
+
+    monkeypatch.setattr(sts.cli, "seo_alpha", captured)
+    monkeypatch.setattr(sts.operators, "lie_matrices", counted)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    sweep = doc["sweep"]
+    thetas, values = sweep["theta"], sweep["values"]
+    terms = len(thetas) if theta_drift else 1
+    calls = len(values) * 2 * (terms + noise_fields)
+    assert len(lies) == calls
+
+    # one flow value at a time, each at N and N + 2
+    cell_doc = {k: v for k, v in doc.items() if k != "sweep"}
+    fresh = []
+    for value in values:
+        flow = {**doc["flow"],
+                "params": {**doc["flow"].get("params", {}),
+                           sweep["parameter"]: value}}
+        for theta in thetas:
+            config = parse_config(json.dumps({**cell_doc, "theta": theta,
+                                              "flow": flow}))
+            for n in (config.truncation, config.truncation + 2):
+                fresh.append(seo_alpha(build_model(config, n)))
+    assert len(built) == len(fresh)
+    for blocks, reference in zip(built, fresh):
+        for a, r in zip(blocks, reference):
+            e = r.matrix
+            assert np.array_equal(a.indptr, e.indptr)
+            assert np.array_equal(a.indices, e.indices)
+            assert a.data.tobytes() == e.data.tobytes()
+
+    config = parse_config(json.dumps(doc))
+    rows = [sts.cli._sweep_cell(config, theta, value, {})
+            for theta in thetas for value in values]
+    header = (out / "sweep.csv").read_text().splitlines()[0].split(",")
+    write_table_csv(tmp_path / "scratch.csv", header, rows)
+    assert ((out / "sweep.csv").read_bytes()
+            == (tmp_path / "scratch.csv").read_bytes())
+
+    lies.clear()
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "again")]) == 0
+    assert len(lies) == calls
+
+
+def test_cli_sweep_reuses_nothing_from_a_failed_cell(tmp_path, monkeypatch):
+    # the overflowed cell fails at its base solve, after its base assembly
+    # (the drift and two noise fields); the next cell assembles anew
+    lies = []
+    lie_matrices = sts.operators.lie_matrices
+
+    def counted(G, layout):
+        lies.append(layout.truncation)
+        return lie_matrices(G, layout)
+
+    monkeypatch.setattr(sts.operators, "lie_matrices", counted)
+    doc = {"dimension": 2, "truncation": 3, "theta": 0.3,
+           "flow": {"preset": "random", "params": {"bandwidth": 1}},
+           "sweep": {"theta": [1e308, 0.3], "parameter": "seed", "values": [7]}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert lies == [3] * 6 + [5] * 3
+    rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert rows[0].strip().endswith(
+        "indeterminate,,,false,FloatingPointError: operator block contains "
+        "non-finite entries")
+    assert rows[1].strip() == "0.3,7,unbroken,0.0,0.0,true,"
 
 
 def test_cli_numerical_failure(tmp_path, capsys, monkeypatch):

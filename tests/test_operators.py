@@ -129,6 +129,26 @@ def test_seo_alpha_reduces_to_stratonovich():
         assert abs(a.matrix - b.matrix).max() == 0.0
 
 
+def test_seo_alpha_reuses_only_the_parts_a_call_shares():
+    # one dict across calls that differ in theta, noise, drift, alpha or
+    # layout: every call gives the blocks of a call without it, bit for bit
+    rng = np.random.default_rng(5)
+
+    def field():
+        return FlowField([TrigField.random(2, 1, rng, 0.5) for _ in range(2)])
+
+    base = SdeModel(BasisLayout(2, 2), field(), [field()], 0.3, 0.2)
+    models = [base, replace(base, theta=0.7), replace(base, noise=[field()]),
+              replace(base, drift=field()), replace(base, alpha=0.5),
+              replace(base, layout=BasisLayout(2, 3)), base]
+    shared = {}
+    for m in models:
+        for a, b in zip(seo_alpha(m, shared), seo_alpha(m)):
+            assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+            assert np.array_equal(a.matrix.indices, b.matrix.indices)
+            assert a.matrix.data.tobytes() == b.matrix.data.tobytes()
+
+
 def test_additive_noise_alpha_independent_bit_exact():
     lay = BasisLayout(1, 8)
     F = FlowField([TrigField.sin(1, 0)])

@@ -1,9 +1,13 @@
 """Spectral pipeline: eigensolves, pairing, classification, observables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from sts import spectral
@@ -585,6 +589,110 @@ def test_2d_guard_matches_the_full_dense_guard(real_eig_degrees):
             reference = full_dense_guard(systems, fine, tol)
             for k in range(3):
                 assert np.array_equal(masks[k], reference[k]), (tol, i, k)
+
+
+def solved_within(A, lam, bound):
+    """Whether lam is an eigenvalue of a matrix within ``bound`` of the
+    dense A: the backward form of a forward match, for ill-conditioned
+    eigenvalues (smallest singular value of A - lam)."""
+    return np.linalg.svd(A - lam * np.eye(len(A)), compute_uv=False)[-1] <= bound
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.integers(1, 2), n_noise=st.integers(1, 2), theta=st.floats(0, 1),
+       alpha=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_2d_union_reads_the_spectrum_of_the_full_solve(N, n_noise, theta,
+                                                       alpha, seed):
+    # the models of test_d_exactness_on_random_models at D = 2: degree 1
+    # of an eigenvalue-only analysis is the union of degrees 0 and 2
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return FlowField([TrigField.random(2, 1, rng, 0.5) for _ in range(2)])
+
+    model = SdeModel(BasisLayout(2, N), field(),
+                     [field() for _ in range(n_noise)], theta, alpha)
+
+    def builder(lay):
+        return seo_alpha(replace(model, layout=lay))
+
+    blocks = builder(model.layout)
+    bare = analyze(blocks, builder, TOL, vectors=False)
+    full = analyze(blocks, builder, TOL, vectors=True)
+    bound = 1e-10 * max(1.0, spectral.spectral_radius(full))
+    union, dense = bare[1].eigenvalues, eigensolve(blocks[1], vectors=False).eigenvalues
+    assert len(union) == len(dense)
+    assert np.array_equal(union, union[np.lexsort((union.imag, union.real))])
+    A = [b.dense for b in blocks]
+    for lam in union:
+        assert (np.abs(dense - lam).min() <= bound
+                or solved_within(A[1], lam, bound)), lam
+    for lam in dense:
+        assert (np.abs(union - lam).min() <= bound
+                or solved_within(A[0], lam, bound)
+                or solved_within(A[2], lam, bound)), lam
+    # with multiplicity: the nearest-point checks above cannot see an
+    # eigenvalue lost or counted twice, the trace of H^(1) can
+    assert abs(union.sum() - np.trace(A[1])) <= bound * len(union)
+    label = classify(bare, TOL)
+    assert label == classify(full, TOL)
+    if label != INDETERMINATE:
+        e, e_full = (ground_state(s, TOL)["energy"] for s in (bare, full))
+        assert abs(e - e_full) <= 1e-12 * max(1.0, abs(e_full))
+
+
+def test_2d_eigenvalue_only_analyze_solves_degrees_0_and_2(real_eig_degrees):
+    # base and refined: degree 1 is never solved
+    builder = random2d_builder(7, 0.5)
+    analyze(builder(BasisLayout(2, 4)), builder, TOL, vectors=False)
+    assert real_eig_degrees == [0, 2, 0, 2]
+
+
+def test_2d_analyze_refuses_a_base_operator_that_does_not_commute_with_d():
+    # a degree-0 bump leaves the degree-0 and degree-2 spectra well
+    # defined, but degree 1 is then no longer their union; it is refused
+    # on the base blocks even when the refined ones commute with d
+    def shear(lay):
+        return seo_alpha(shear_model(lay))
+
+    bumped_builder = bumped(shear, 0, 0.3)
+    blocks = bumped_builder(BasisLayout(2, 3))
+    for builder in (bumped_builder, shear):
+        with pytest.raises(ValueError, match="commute with d"):
+            analyze(blocks, builder, TOL, vectors=False)
+
+
+def test_kunneth_sums_give_every_2d_degree():
+    # a product flow F = (f(x), g(y)) with the identity frame splits as
+    # H = H_x + H_y on the tensor basis, so each 2-D degree k holds the
+    # sums of the 1-D degrees i + j = k: an oracle for the assembly and
+    # the ghost signs of every 2-D block, degree 1 included
+    rng = np.random.default_rng(2)
+    f, g = (TrigField.random(1, 2, rng, 0.8) for _ in range(2))
+    theta, N = 0.3, 6
+
+    def spectra(flow, dimension):
+        model = SdeModel(BasisLayout(dimension, N), flow,
+                         identity_frame(dimension), theta)
+        return [eigensolve(b, vectors=False).eigenvalues for b in seo_alpha(model)]
+
+    def lifted(field, axis):
+        return TrigField(2, {tuple(k[0] if j == axis else 0 for j in range(2)): c
+                             for k, c in field.coeffs.items()})
+
+    x, y = spectra(FlowField([f]), 1), spectra(FlowField([g]), 1)
+    plane = spectra(FlowField([lifted(f, 0), lifted(g, 1)]), 2)
+
+    def sums(a, b):
+        return (a[:, None] + b[None, :]).ravel()
+
+    oracle = [sums(x[0], y[0]),
+              np.concatenate([sums(x[1], y[0]), sums(x[0], y[1])]),
+              sums(x[1], y[1])]
+    bound = 1e-10 * max(1.0, max(np.abs(w).max() for w in plane))
+    for k in range(3):
+        assert len(plane[k]) == len(oracle[k])
+        assert hausdorff_distance(plane[k], oracle[k]) <= bound, k
 
 
 def test_analyze_langevin_report():
